@@ -13,6 +13,7 @@ artifacts are never mistaken for results.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -359,10 +360,37 @@ COMMANDS = {
 }
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed arrays instead of returning them to the kernel.
+
+    By default glibc serves large blocks with fresh mappings and trims the
+    heap whenever its free top exceeds 128 KB, so every training step pays
+    page faults to map its whole working set in again. A fixed 32 MB mmap
+    threshold (glibc's largest) keeps activations on the heap, and a high trim
+    threshold keeps the heap mapped between steps. Arrays above 32 MB are
+    still mapped and returned individually. Other C libraries lack
+    ``mallopt`` or ignore these parameters, so there this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     np.seterr(over="raise", invalid="raise")
+    _keep_freed_memory()
     try:
         COMMANDS[args.command](args)
     except ConfigError as exc:

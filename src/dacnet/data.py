@@ -21,7 +21,13 @@ import numpy as np
 
 from . import wav
 from .errors import ConfigError, DataError
-from .frontend import FrontendConfig, compute_features, read_feature, write_feature
+from .frontend import (
+    FrontendConfig,
+    check_feature,
+    compute_features,
+    read_feature,
+    write_feature,
+)
 from .parallel import parallel_map
 
 LABELS = (
@@ -256,12 +262,11 @@ class FeatureCache:
     def _compute_one(self, manifest_root: Path, row: ManifestRow) -> int:
         """Returns 1 if the feature was (re)computed, 0 on a cache hit."""
         target = self.path_for(row.path)
-        if target.exists():
-            try:
-                read_feature(target, expected_fingerprint=self.fingerprint)
-                return 0
-            except DataError:
-                pass  # corrupted or stale: recompute below
+        try:
+            check_feature(target, expected_fingerprint=self.fingerprint)
+            return 0
+        except (FileNotFoundError, DataError):
+            pass  # missing, corrupted or stale: recompute below
         samples = load_segment(manifest_root / row.path)
         write_feature(target, compute_features(samples, self.config))
         return 1

@@ -16,8 +16,10 @@ Feature files ("DACF") are flat binary records:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -28,6 +30,7 @@ from .errors import ConfigError, DataError, ShapeError
 
 DACF_MAGIC = b"DACF"
 DACF_VERSION = 1
+DACF_HEADER_BYTES = 33
 
 CHANNEL_MODES = ("deltas", "replicate")
 
@@ -137,12 +140,20 @@ def mel_filterbank(config: FrontendConfig) -> np.ndarray:
     return fb
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_filterbank(config: FrontendConfig) -> np.ndarray:
+    """The filterbank of ``config``, built once and shared read-only."""
+    fb = mel_filterbank(config)
+    fb.setflags(write=False)
+    return fb
+
+
 def mel_project_log(
     power: np.ndarray, config: FrontendConfig, filterbank: np.ndarray | None = None
 ) -> np.ndarray:
     """ln(max(filterbank @ power, log_floor)), shape (mel_bins, n_frames)."""
     if filterbank is None:
-        filterbank = mel_filterbank(config)
+        filterbank = _shared_filterbank(config)
     if power.shape[0] != filterbank.shape[1]:
         raise ShapeError(
             f"power has {power.shape[0]} FFT bins, filterbank expects {filterbank.shape[1]}"
@@ -199,22 +210,38 @@ def write_feature(path: str | Path, feature: LogMelFeature) -> None:
     Path(path).write_bytes(header + values.tobytes())
 
 
-def read_feature(path: str | Path, expected_fingerprint: str | None = None) -> LogMelFeature:
-    raw = Path(path).read_bytes()
-    if len(raw) < 33 or raw[:4] != DACF_MAGIC:
+def _check_header(path, header: bytes, size: int,
+                  expected_fingerprint: str | None) -> tuple[str, tuple[int, int, int]]:
+    """Validate a DACF header against the file's total size; return (fingerprint, shape)."""
+    if size < DACF_HEADER_BYTES or header[:4] != DACF_MAGIC:
         raise DataError(f"{path}: not a DACF feature file")
-    (version,) = struct.unpack_from("<B", raw, 4)
+    (version,) = struct.unpack_from("<B", header, 4)
     if version != DACF_VERSION:
         raise DataError(f"{path}: unsupported DACF version {version}")
-    fingerprint = raw[5:21].hex()
-    shape = struct.unpack_from("<III", raw, 21)
+    fingerprint = header[5:21].hex()
+    shape = struct.unpack_from("<III", header, 21)
     n = shape[0] * shape[1] * shape[2]
-    body = raw[33:]
-    if len(body) != n * 8:
-        raise DataError(f"{path}: payload length {len(body)} does not match shape {shape}")
+    payload = size - DACF_HEADER_BYTES
+    if payload != n * 8:
+        raise DataError(f"{path}: payload length {payload} does not match shape {shape}")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise DataError(
             f"{path}: fingerprint {fingerprint} does not match expected {expected_fingerprint}"
         )
-    values = np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+    return fingerprint, shape
+
+
+def check_feature(path: str | Path, expected_fingerprint: str | None = None) -> None:
+    """Validate a DACF file from its header and size alone, without reading the payload."""
+    with open(path, "rb") as fh:
+        header = fh.read(DACF_HEADER_BYTES)
+        size = os.fstat(fh.fileno()).st_size
+    _check_header(path, header, size, expected_fingerprint)
+
+
+def read_feature(path: str | Path, expected_fingerprint: str | None = None) -> LogMelFeature:
+    raw = Path(path).read_bytes()
+    fingerprint, shape = _check_header(path, raw[:DACF_HEADER_BYTES], len(raw),
+                                       expected_fingerprint)
+    values = np.frombuffer(raw, dtype="<f8", offset=DACF_HEADER_BYTES).reshape(shape).copy()
     return LogMelFeature(values=values, fingerprint=fingerprint)

@@ -261,13 +261,13 @@ def receptive_field(config: NetworkConfig, upto_instance: Optional[int] = None) 
 
 
 class _ConvUnit:
-    """Convolution plus optional batch norm and ReLU, owning its parameters."""
+    """Convolution plus batch norm (and optionally ReLU), owning its parameters."""
 
-    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator,
-                 bn: bool = True, act: bool = True):
+    bn = True  # every unit normalizes; kept readable for code that inspects units
+
+    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, act: bool = True):
         self.name = name
         self.spec = spec
-        self.bn = bn
         self.act = act
         kh = spec.kernel_shape()
         if spec.mode == "depthwise":
@@ -276,33 +276,27 @@ class _ConvUnit:
             fan_in = spec.in_channels * spec.kernel_size ** 2
         self.kernel = Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), kh), requires_grad=True)
         self.bias = Tensor(np.zeros(spec.out_channels), requires_grad=True) if spec.has_bias else None
-        if bn:
-            c = spec.out_channels
-            self.gamma = Tensor(np.ones(c), requires_grad=True)
-            self.beta = Tensor(np.zeros(c), requires_grad=True)
-            self.running_mean = np.zeros(c, dtype=DTYPE)
-            self.running_var = np.ones(c, dtype=DTYPE)
+        c = spec.out_channels
+        self.gamma = Tensor(np.ones(c), requires_grad=True)
+        self.beta = Tensor(np.zeros(c), requires_grad=True)
+        self.running_mean = np.zeros(c, dtype=DTYPE)
+        self.running_var = np.ones(c, dtype=DTYPE)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         out = ops.conv2d(x, self.kernel, self.bias, self.spec)
-        if self.bn:
-            out = ops.batchnorm(out, self.gamma, self.beta,
-                                self.running_mean, self.running_var, training)
-        if self.act:
-            out = ops.relu(out)
-        return out
+        return ops.batchnorm(out, self.gamma, self.beta, self.running_mean,
+                             self.running_var, training, relu=self.act)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out = [(f"{self.name}.kernel", self.kernel)]
         if self.bias is not None:
             out.append((f"{self.name}.bias", self.bias))
-        if self.bn:
-            out.append((f"{self.name}.gamma", self.gamma))
-            out.append((f"{self.name}.beta", self.beta))
+        out.append((f"{self.name}.gamma", self.gamma))
+        out.append((f"{self.name}.beta", self.beta))
         return out
 
     def buffers(self) -> list[np.ndarray]:
-        return [self.running_mean, self.running_var] if self.bn else []
+        return [self.running_mean, self.running_var]
 
 
 class _Block:

@@ -6,7 +6,17 @@ samples apart in the padded input and output positions spaced ``stride``
 apart. No im2col buffers or transform tricks, so the executed
 multiply-accumulate count per layer equals the analytic cost model exactly;
 an optional instrumentation context (:func:`count_macs`) tallies that count
-from the runtime operand shapes as the kernels execute.
+from the runtime operand shapes as the kernels execute. The count covers the
+forward pass only and is the same whichever path below runs.
+
+Pointwise and standard taps are batched matrix products (BLAS), in the
+forward pass and for the kernel gradient alike. A pointwise layer at stride 1
+without padding reads its input as the one and only tap window, so its
+backward pass is two products and nothing else: no zero-filled padded
+gradient buffer and no scatter-add. Batch normalization can apply the
+following ReLU in place on its own output (``batchnorm(..., relu=True)``),
+which saves a copy, a mask array and a tape record per layer; in eval mode it
+is one per-channel scale and shift.
 
 Raw kernels (``*_forward`` / ``*_backward``) operate on numpy arrays. The
 lowercase wrappers (``conv2d``, ``relu``, ...) operate on
@@ -23,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import DTYPE, GradientTape, Tensor
+from .tensor import DTYPE, GradientTape, Tensor, ThreadStack
 
 MODES = ("standard", "depthwise", "pointwise")
 
@@ -115,28 +125,29 @@ class MacCounter:
         self.total += n
 
 
-_MAC_STACK: list[MacCounter] = []
+_MAC_STACK = ThreadStack()
 
 
 @contextmanager
 def count_macs():
-    """Count forward-pass MACs executed inside the ``with`` block.
+    """Count forward-pass MACs executed on this thread inside the ``with`` block.
 
     The count is derived from the runtime operand shapes of each executed
     kernel call (one MAC per scalar multiply in the accumulation), not from
     any analytic cost formula.
     """
     counter = MacCounter()
-    _MAC_STACK.append(counter)
+    _MAC_STACK.items.append(counter)
     try:
         yield counter
     finally:
-        _MAC_STACK.pop()
+        _MAC_STACK.items.pop()
 
 
 def _tally(n: int) -> None:
-    if _MAC_STACK:
-        _MAC_STACK[-1].add(n)
+    counters = _MAC_STACK.items
+    if counters:
+        counters[-1].add(n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +268,24 @@ def conv2d_backward(
             f"output_grad shape {output_grad.shape} does not match forward output "
             f"{(b, spec.out_channels, ho, wo)}"
         )
+    gout_flat = output_grad.reshape(b, spec.out_channels, ho * wo)
+    bias_grad = output_grad.sum(axis=(0, 2, 3)) if need_bias_grad else None
+
+    if spec.mode == "pointwise" and spec.stride == 1 and spec.pad == (0, 0):
+        # The whole input is the single tap window: one product per gradient.
+        x_flat = x.reshape(b, spec.in_channels, h * w)
+        kernel_grad = _kernel_tap_grad(gout_flat, x_flat).reshape(kernel.shape)
+        input_grad = None
+        if need_input_grad:
+            input_grad = np.matmul(kernel[:, :, 0, 0].T, gout_flat).reshape(x.shape)
+        return input_grad, kernel_grad, bias_grad
+
     xp = padded_input if padded_input is not None else _pad_input(x, spec.pad)
     k = spec.kernel_size
     ph, pw = spec.pad
 
     kernel_grad = np.zeros_like(kernel)
     input_grad_p = np.zeros_like(xp) if need_input_grad else None
-    gout_flat = output_grad.reshape(b, spec.out_channels, ho * wo)
     patch = None  # scratch reused across taps
 
     for kh in range(k):
@@ -279,7 +301,7 @@ def conv2d_backward(
                     _tap_window(input_grad_p, kh, kw, spec, ho, wo)[...] += patch
             else:
                 win_flat = win.reshape(b, spec.in_channels, ho * wo)
-                kernel_grad[:, :, kh, kw] = np.einsum("bnp,bmp->nm", gout_flat, win_flat)
+                kernel_grad[:, :, kh, kw] = _kernel_tap_grad(gout_flat, win_flat)
                 if need_input_grad:
                     if patch is None:
                         patch = np.empty((b, spec.in_channels, ho * wo), dtype=DTYPE)
@@ -293,8 +315,12 @@ def conv2d_backward(
         input_grad = input_grad_p[:, :, ph:ph + h, pw:pw + w]
         if ph or pw:
             input_grad = np.ascontiguousarray(input_grad)
-    bias_grad = output_grad.sum(axis=(0, 2, 3)) if need_bias_grad else None
     return input_grad, kernel_grad, bias_grad
+
+
+def _kernel_tap_grad(gout_flat: np.ndarray, win_flat: np.ndarray) -> np.ndarray:
+    """Gradient of one (out, in) kernel tap: sum over the batch of gout @ win^T."""
+    return np.matmul(gout_flat, win_flat.transpose(0, 2, 1)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +337,14 @@ def batchnorm_forward(
     training: bool,
     eps: float = 1e-5,
     momentum: float = 0.1,
+    relu: bool = False,
 ):
     """Per-channel normalization over batch and spatial axes.
 
     Training mode normalizes with the biased batch statistics and updates the
     running statistics in place with the given momentum; eval mode uses the
-    running statistics. Returns ``(out, cache)`` where ``cache`` feeds
-    :func:`batchnorm_backward`.
+    running statistics. ``relu=True`` clamps the output at zero in place.
+    Returns ``(out, cache)`` where ``cache`` feeds :func:`batchnorm_backward`.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D input, got {x.ndim}-D")
@@ -328,49 +355,62 @@ def batchnorm_forward(
     if count == 0:
         raise ShapeError("batchnorm requires a non-empty batch x spatial extent")
 
+    shape = (1, c, 1, 1)
     if training:
         mean = x.mean(axis=(0, 2, 3))
-        xhat = x - mean.reshape(1, c, 1, 1)
-        var = np.einsum("bchw,bchw->c", xhat, xhat) / count
+        centered = x - mean.reshape(shape)
+        var = np.einsum("bchw,bchw->c", centered, centered) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        scale = gamma * inv_std
+        out = centered * scale.reshape(shape)
+        out += beta.reshape(shape)
+        saved, mean = centered, None
     else:
-        mean = running_mean
-        var = running_var
-        xhat = x - mean.reshape(1, c, 1, 1)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std.reshape(1, c, 1, 1)
-    out = gamma.reshape(1, c, 1, 1) * xhat
-    out += beta.reshape(1, c, 1, 1)
-    cache = (xhat, inv_std, gamma, count, training)
+        # The running statistics are constants here: one scale and one shift.
+        mean = running_mean.copy()
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma * inv_std
+        out = x * scale.reshape(shape)
+        out += (beta - mean * scale).reshape(shape)
+        saved = x
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    cache = (saved, mean, inv_std, scale, out if relu else None, count, training)
     return out, cache
 
 
 def batchnorm_backward(output_grad: np.ndarray, cache):
-    xhat, inv_std, gamma, count, training = cache
-    c = xhat.shape[1]
-    dgamma = np.einsum("bchw,bchw->c", output_grad, xhat)
-    dbeta = output_grad.sum(axis=(0, 2, 3))
-    dx = output_grad * gamma.reshape(1, c, 1, 1)  # dxhat, reused in place
+    """Adjoint of :func:`batchnorm_forward`, ReLU included when it was fused.
+
+    With g the output gradient (masked by ``out > 0`` after a fused ReLU),
+    xc = x - mean and ``scale = gamma * inv_std``: ``dgamma = inv_std *
+    sum(g*xc)``, ``dbeta = sum(g)`` and ``dx = g*scale``. In training mode the
+    batch statistics depend on x, which couples all positions of a channel
+    and adds ``-xc*scale*inv_std*dgamma/n - scale*dbeta/n`` to dx.
+    """
+    saved, mean, inv_std, scale, relu_out, count, training = cache
+    c = saved.shape[1]
+    shape = (1, c, 1, 1)
+    # training mode keeps x - mean; eval mode keeps x and recomputes it here
+    centered = saved if mean is None else saved - mean.reshape(shape)
+    g = output_grad if relu_out is None else output_grad * (relu_out > 0)
+    dgamma = np.einsum("bchw,bchw->c", g, centered) * inv_std
+    dbeta = g.sum(axis=(0, 2, 3))
+    # a masked gradient is a fresh array, so it is scaled in place
+    dx = np.multiply(g, scale.reshape(shape), out=None if g is output_grad else g)
     if training:
-        # Batch statistics depend on x, so the adjoint couples all positions
-        # in a channel: dx = inv/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)).
-        dx -= (gamma * dbeta / count).reshape(1, c, 1, 1)
-        dx -= xhat * (gamma * dgamma / count).reshape(1, c, 1, 1)
-    dx *= inv_std.reshape(1, c, 1, 1)
+        dx -= centered * (scale * inv_std * dgamma / count).reshape(shape)
+        dx -= (scale * dbeta / count).reshape(shape)
     return dx, dgamma, dbeta
 
 
 # ---------------------------------------------------------------------------
 # Pointwise layers, pooling, linear, loss
 # ---------------------------------------------------------------------------
-
-
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
 
 
 def global_avg_pool_forward(x: np.ndarray) -> np.ndarray:
@@ -463,9 +503,12 @@ def batchnorm(
     training: bool,
     eps: float = 1e-5,
     momentum: float = 0.1,
+    relu: bool = False,
 ) -> Tensor:
+    """Batch normalization, optionally followed by ReLU as one taped operation."""
     out_data, cache = batchnorm_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var, training, eps, momentum
+        x.data, gamma.data, beta.data, running_mean, running_var, training, eps, momentum,
+        relu,
     )
     out = Tensor(out_data)
 
@@ -482,11 +525,10 @@ def batchnorm(
 
 
 def relu(x: Tensor) -> Tensor:
-    out = Tensor(relu_forward(x.data))
-    mask = x.data > 0
+    out = Tensor(np.maximum(x.data, 0.0))
 
     def backward(gout: np.ndarray) -> None:
-        x.accumulate_grad(gout * mask, own=True)
+        x.accumulate_grad(gout * (out.data > 0), own=True)
 
     return _maybe_record(out, [x], backward)
 

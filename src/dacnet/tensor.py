@@ -2,9 +2,10 @@
 
 A Tensor is a thin wrapper around a row-major numpy float64 array. Gradients
 are accumulated into ``Tensor.grad`` when a GradientTape is active: every
-differentiable operation records a backward closure on the innermost tape,
-and ``GradientTape.backward`` replays the recorded operations in reverse
-execution order (which is a valid topological order of the data-flow graph).
+differentiable operation records a backward closure on the innermost tape
+open on the calling thread, and ``GradientTape.backward`` replays the
+recorded operations in reverse execution order (which is a valid topological
+order of the data-flow graph).
 
 Only tensors that actually participate in the taped computation receive a
 gradient; everything else keeps ``grad = None``.
@@ -12,6 +13,7 @@ gradient; everything else keeps ``grad = None``.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,6 +79,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class ThreadStack(threading.local):
+    """A stack of open contexts that each thread sees on its own.
+
+    A tape or counter opened on one thread must not collect work that worker
+    threads (``evaluate(workers > 1)``) run at the same time.
+    """
+
+    def __init__(self):
+        self.items: list = []
+
+
 class GradientTape:
     """Ordered record of executed operations for reverse-mode replay.
 
@@ -87,21 +100,22 @@ class GradientTape:
         tape.backward(loss)
     """
 
-    _STACK: list["GradientTape"] = []
+    _STACK = ThreadStack()
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "GradientTape":
-        GradientTape._STACK.append(self)
+        GradientTape._STACK.items.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        GradientTape._STACK.pop()
+        GradientTape._STACK.items.pop()
 
     @staticmethod
     def active() -> Optional["GradientTape"]:
-        return GradientTape._STACK[-1] if GradientTape._STACK else None
+        stack = GradientTape._STACK.items
+        return stack[-1] if stack else None
 
     def record(self, output: Tensor, backward: Callable[[np.ndarray], None]) -> None:
         output._traced = True

@@ -180,6 +180,9 @@ def evaluate(
     if num_classes is None:
         num_classes = model.config.num_classes
     labels = np.asarray(labels)
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        raise DataError(f"label {int(labels[outside][0])} outside [0, {num_classes})")
     chunks = [features[i:i + batch_size] for i in range(0, len(features), batch_size)]
     preds_parts = parallel_map(
         lambda chunk: model.predict_logits(chunk).argmax(axis=1), chunks, workers

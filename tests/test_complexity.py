@@ -1,5 +1,7 @@
 """Analytic cost model: formula cases, dual-route equality, exact identities."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +108,37 @@ class TestDualRoutes:
             with count_macs() as counter:
                 model.forward(Tensor(rng.standard_normal(shape)))
             assert counter.total == report.total_macs
+
+    def test_mac_counters_are_per_thread(self):
+        """Threads counting at the same time each see only their own MACs."""
+        config = load_preset("toy").network
+        shape = (2, config.input_channels, 28, 64)
+        expected = analyze_network(config, (1,) + shape[1:]).total_macs * shape[0]
+        model = build_network(config, seed=0)
+        x = np.random.default_rng(5).standard_normal(shape)
+        n_threads = 4  # more than the cores of a small test machine
+        barrier = threading.Barrier(n_threads, timeout=60)
+        totals = [None] * n_threads
+
+        def count(i):
+            with count_macs() as counter:
+                barrier.wait()
+                model.predict_logits(x)
+                barrier.wait()
+            totals[i] = counter.total
+
+        threads = [threading.Thread(target=count, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert totals == [expected] * n_threads
 
     def test_analytic_params_equal_allocation_on_random_configs(self):
         rng = np.random.default_rng(43)

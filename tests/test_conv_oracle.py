@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dacnet import ConvSpec, ShapeError, conv2d_forward
+from dacnet import ConvSpec, ShapeError, conv2d_backward, conv2d_forward
 from oracles import conv2d_reference
 
 
@@ -73,6 +73,78 @@ class TestAgainstOracle:
         got = conv2d_forward(x, k, None, spec)
         want = conv2d_reference(x, k, None, mode="standard", stride=1, padding=(1, 1), dilation=2)
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def oracle_gradients(gout, x, kernel, spec):
+    """Gradients of <gout, conv(x, kernel) + bias> from the nested-loop oracle.
+
+    The layer is linear in each of x, kernel and bias, so each gradient
+    coordinate is the oracle's response to a unit basis tensor, dotted with
+    gout.
+    """
+    def response(x_, k_, b_):
+        out = conv2d_reference(x_, k_, b_, mode=spec.mode, stride=spec.stride,
+                               padding=spec.pad, dilation=spec.dilation)
+        return float(np.sum(out * gout))
+
+    def basis_grad(shape, probe):
+        grad = np.zeros(shape)
+        for idx in np.ndindex(*shape):
+            unit = np.zeros(shape)
+            unit[idx] = 1.0
+            grad[idx] = probe(unit)
+        return grad
+
+    gx = basis_grad(x.shape, lambda u: response(u, kernel, None))
+    gk = basis_grad(kernel.shape, lambda u: response(x, u, None))
+    zero = np.zeros_like(x)
+    gb = basis_grad((spec.out_channels,), lambda u: response(zero, kernel, u))
+    return gx, gk, gb
+
+
+class TestBackwardAgainstOracle:
+    @pytest.mark.parametrize("need_input_grad", [True, False])
+    @pytest.mark.parametrize("has_bias", [True, False])
+    def test_direct_pointwise_backward(self, need_input_grad, has_bias):
+        """Stride 1, no padding: the direct two-product path, <= 1e-12."""
+        rng = np.random.default_rng(23)
+        spec = ConvSpec(1, 3, 4, mode="pointwise", has_bias=has_bias)
+        x = rng.standard_normal((2, 3, 4, 5))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        gout = rng.standard_normal((2, 4, 4, 5))
+        gx, gk, gb = conv2d_backward(gout, x, kernel, spec,
+                                     need_input_grad=need_input_grad,
+                                     need_bias_grad=has_bias)
+        want_x, want_k, want_b = oracle_gradients(gout, x, kernel, spec)
+        assert np.max(np.abs(gk - want_k)) <= 1e-12
+        if need_input_grad:
+            assert gx.shape == x.shape and gx.flags.c_contiguous
+            assert np.max(np.abs(gx - want_x)) <= 1e-12
+        else:
+            assert gx is None
+        if has_bias:
+            assert np.max(np.abs(gb - want_b)) <= 1e-12
+        else:
+            assert gb is None
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel_size=1, mode="pointwise", stride=2),
+        dict(kernel_size=1, mode="pointwise", padding=1),
+        dict(kernel_size=3, mode="standard", stride=2, padding=1),
+        dict(kernel_size=3, mode="standard", padding=2, dilation=2),
+    ])
+    def test_tap_loop_backward(self, kwargs):
+        """Padded or strided layers keep the per-tap path, <= 1e-12."""
+        rng = np.random.default_rng(29)
+        spec = ConvSpec(in_channels=3, out_channels=4, has_bias=True, **kwargs)
+        x = rng.standard_normal((2, 3, 5, 6))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        gout = rng.standard_normal((2, 4) + spec.output_hw(5, 6))
+        gx, gk, gb = conv2d_backward(gout, x, kernel, spec, need_bias_grad=True)
+        want_x, want_k, want_b = oracle_gradients(gout, x, kernel, spec)
+        assert np.max(np.abs(gx - want_x)) <= 1e-12
+        assert np.max(np.abs(gk - want_k)) <= 1e-12
+        assert np.max(np.abs(gb - want_b)) <= 1e-12
 
 
 class TestDegenerationsAndInvariants:

@@ -193,6 +193,20 @@ class TestFeatureCache:
         stats = cache.ensure(manifest)
         assert stats.computed == 1
 
+    def test_invalid_entries_recomputed_from_header_check(self, small_corpus):
+        """Bad magic, a foreign fingerprint and a short payload are all recomputed."""
+        root, manifest = small_corpus
+        cache = FeatureCache(root / "cache6", FrontendConfig())
+        cache.ensure(manifest)
+        victims = [cache.path_for(row.path) for row in manifest.rows[:3]]
+        good = [v.read_bytes() for v in victims]
+        victims[0].write_bytes(b"JUNK" + good[0][4:])
+        victims[1].write_bytes(good[1][:5] + bytes(16) + good[1][21:])
+        victims[2].write_bytes(good[2][:-8])
+        stats = cache.ensure(manifest)
+        assert stats.computed == 3
+        assert [v.read_bytes() for v in victims] == good
+
     def test_cached_equals_fresh(self, small_corpus):
         from dacnet.frontend import compute_features
         root, manifest = small_corpus

@@ -64,6 +64,16 @@ class TestMelProjection:
         assert np.max(np.abs(b - a - np.log(2.0))) <= 1e-12
 
 
+    def test_filterbank_built_once_per_config(self):
+        power = np.ones((CFG.fft_size // 2 + 1, 5))
+        fe.mel_project_log(power, CFG)
+        shared = fe._shared_filterbank(CFG)
+        assert fe._shared_filterbank(fe.FrontendConfig()) is shared
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, fe.mel_filterbank(CFG))
+        assert fe.mel_filterbank(CFG).flags.writeable
+
+
 class TestDeltas:
     def test_constant_feature_zero_deltas(self):
         static = np.full((5, 11), 3.3)
@@ -141,6 +151,26 @@ class TestDacfFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="payload"):
             fe.read_feature(path)
+
+    @pytest.mark.parametrize("damage", ["magic", "version", "fingerprint", "short", "long"])
+    def test_header_check_agrees_with_full_read(self, tmp_path, damage):
+        """check_feature raises exactly what read_feature raises, or neither does."""
+        path = tmp_path / "x.dacf"
+        fe.write_feature(path, fe.LogMelFeature(np.ones((3, 4, 4)), "ab" * 16))
+        raw = path.read_bytes()
+        path.write_bytes({
+            "magic": b"JUNK" + raw[4:],
+            "version": raw[:4] + b"\x02" + raw[5:],
+            "fingerprint": raw[:5] + bytes.fromhex("cd" * 16) + raw[21:],
+            "short": raw[:-8],
+            "long": raw + bytes(8),
+        }[damage])
+        messages = []
+        for check in (fe.read_feature, fe.check_feature):
+            with pytest.raises(DataError) as info:
+                check(path, "ab" * 16)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestWavCodec:

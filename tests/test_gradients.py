@@ -121,6 +121,53 @@ class TestBatchNorm:
 
         check(loss, [x, gamma, beta])
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_fused_relu_gradients(self, training):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
+        beta = Tensor(rng.standard_normal(2), requires_grad=True)
+        # a fixed depthwise layer after BN weights every position differently
+        spec = ConvSpec(3, 2, 2, padding=1, mode="depthwise")
+        weights = Tensor(rng.standard_normal(spec.kernel_shape()))
+        rm, rv = rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)
+
+        def loss():
+            out = ops.batchnorm(x, gamma, beta, rm.copy(), rv.copy(), training=training,
+                                relu=True)
+            return ops.mean_scalar(ops.conv2d(out, weights, None, spec))
+
+        check(loss, [x, gamma, beta])
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_fused_relu_equals_separate_relu(self, training):
+        """One taped op in place of two, with the same output and gradients."""
+        rng = np.random.default_rng(25)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+        beta = Tensor(rng.standard_normal(3), requires_grad=True)
+        head = Tensor(rng.standard_normal((3, 2)))
+        rm, rv = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+        results = []
+        for fused in (True, False):
+            for t in (x, gamma, beta):
+                t.zero_grad()
+            with GradientTape() as tape:
+                if fused:
+                    out = ops.batchnorm(x, gamma, beta, rm.copy(), rv.copy(), training,
+                                        relu=True)
+                else:
+                    out = ops.relu(ops.batchnorm(x, gamma, beta, rm.copy(), rv.copy(),
+                                                 training))
+                loss = ops.mean_scalar(ops.linear(ops.global_avg_pool(out), head, None))
+            tape.backward(loss)
+            results.append((len(tape), out.data, x.grad, gamma.grad, beta.grad))
+        (n_fused, *fused_arrays), (n_split, *split_arrays) = results
+        assert n_fused == n_split - 1
+        assert np.array_equal(fused_arrays[0], split_arrays[0])
+        for got, want in zip(fused_arrays[1:], split_arrays[1:]):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_empty_extent_rejected(self):
         with pytest.raises(Exception, match="batchnorm"):
             ops.batchnorm_forward(

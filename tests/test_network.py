@@ -150,6 +150,17 @@ class TestForward:
             model.check_input_shape(28, 0)
 
 
+class TestTape:
+    def test_toy_forward_records_one_op_per_layer(self):
+        """22 conv + 22 BN(+ReLU) + 3 residual adds + 3 pools + concat + linear + loss."""
+        model = build_network(load_preset("toy").network, 0)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 28, 64)))
+        with GradientTape() as tape:
+            logits, _ = model.forward(x, training=True)
+            ops.softmax_cross_entropy(logits, np.array([0, 1]))
+        assert len(tape) == 53
+
+
 class TestGradientsEndToEnd:
     """Whole-network finite-difference checks.
 

@@ -165,6 +165,22 @@ class TestEvaluate:
         assert ca1 == ca2
         assert np.array_equal(m1.counts, m2.counts)
 
+    @pytest.mark.parametrize("bad", [9, -1])
+    def test_label_outside_classes_rejected(self, bad):
+        model = build_network(tiny_config(), 0)
+        x = np.random.default_rng(3).standard_normal((3, 3, 28, 20))
+        with pytest.raises(DataError, match=f"label {bad} outside"):
+            evaluate(model, x, np.array([0, bad, 1]))
+
+    def test_worker_threads_do_not_record_on_callers_tape(self):
+        model = build_network(tiny_config(), 0)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((6, 3, 28, 20))
+        y = rng.integers(0, 9, 6)
+        with GradientTape() as tape:
+            evaluate(model, x, y, batch_size=2, workers=2)
+        assert len(tape) == 0
+
     def test_argmax_scale_invariance(self):
         model = build_network(tiny_config(), 0)
         rng = np.random.default_rng(2)
