@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+from .fileio import write_atomic
 
 DACF_MAGIC = b"DACF"
 DACF_VERSION = 1
@@ -207,7 +208,7 @@ def write_feature(path: str | Path, feature: LogMelFeature) -> None:
     header = DACF_MAGIC + struct.pack("<B", DACF_VERSION)
     header += bytes.fromhex(feature.fingerprint)
     header += struct.pack("<III", *values.shape)
-    Path(path).write_bytes(header + values.tobytes())
+    write_atomic(path, (header, values))
 
 
 def _check_header(path, header: bytes, size: int,

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, DataError, ShapeError
+from .fileio import write_atomic
 from .ops import ConvSpec
 from .tensor import DTYPE, Tensor
 
@@ -444,10 +445,10 @@ class Model:
         parts = [DACM_MAGIC, struct.pack("<B", DACM_VERSION),
                  struct.pack("<I", len(config_blob)), config_blob]
         for _, t in self.parameters():
-            parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+            parts.append(np.ascontiguousarray(t.data, dtype="<f8"))
         for buf in self._bn_buffers():
-            parts.append(np.ascontiguousarray(buf, dtype="<f8").tobytes())
-        Path(path).write_bytes(b"".join(parts))
+            parts.append(np.ascontiguousarray(buf, dtype="<f8"))
+        write_atomic(path, parts)
 
     def _bn_buffers(self) -> list[np.ndarray]:
         out = []
@@ -464,8 +465,11 @@ class Model:
         if version != DACM_VERSION:
             raise DataError(f"{path}: unsupported DACM version {version}")
         (cfg_len,) = struct.unpack_from("<I", raw, 5)
-        config = NetworkConfig.from_json(raw[9:9 + cfg_len].decode())
-        model = Model(config, seed=0)
+        try:
+            config = NetworkConfig.from_json(raw[9:9 + cfg_len].decode())
+            model = Model(config, seed=0)
+        except (ValueError, TypeError, ConfigError) as exc:  # json and UTF-8 errors are ValueErrors
+            raise DataError(f"{path}: corrupt network config: {exc}") from exc
         offset = 9 + cfg_len
         for name, t in model.parameters():
             nbytes = t.size * 8

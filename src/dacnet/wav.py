@@ -30,6 +30,10 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
         chunk_id = raw[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8:pos + 8 + chunk_size]
+        if chunk_id in (b"fmt ", b"data") and len(body) < chunk_size:
+            raise DataError(
+                f"{path}: truncated {chunk_id!r} chunk ({len(body)} of {chunk_size} bytes)"
+            )
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise DataError(f"{path}: truncated fmt chunk")
@@ -44,6 +48,8 @@ def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     if n_channels < 1:
         raise DataError(f"{path}: invalid channel count {n_channels}")
 
+    if bits in (16, 32) and len(data) % (bits // 8):
+        raise DataError(f"{path}: data chunk of {len(data)} bytes is not whole {bits}-bit samples")
     if audio_format == _PCM and bits == 16:
         samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == _IEEE_FLOAT and bits == 32:

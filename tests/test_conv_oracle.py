@@ -246,3 +246,79 @@ class TestRejections:
     def test_pointwise_invariant(self):
         with pytest.raises(Exception, match="pointwise"):
             ConvSpec(3, 4, 8, mode="pointwise")
+
+
+class TestDepthwiseBlocks:
+    """The row-blocked depthwise layer across block boundaries, against the oracle.
+
+    Each case shrinks the block to about four (sample, channel) rows, so the
+    nine rows run as a block of five and a shorter last block of four.
+    """
+
+    @pytest.mark.parametrize("k,d,stride,pad", [
+        (3, 2, 1, (2, 2)),  # the network's stride-1 layer: gather-form gradient
+        (3, 1, 1, (1, 0)),  # asymmetric padding
+        (5, 2, 1, (1, 3)),
+        (1, 1, 1, (0, 0)),
+        (3, 2, 2, (2, 2)),  # the network's stride-2 layer: scatter gradient
+        (3, 3, 2, (3, 1)),
+        (5, 1, 2, (2, 2)),
+        (1, 1, 2, (1, 0)),
+        (3, 1, 1, (3, 1)),  # pad > d*(k-1): scatter gradient at stride 1
+        (3, 1, 1, (0, 3)),
+        (1, 1, 1, (1, 1)),
+    ])
+    def test_forward_and_backward_match_oracle(self, monkeypatch, k, d, stride, pad):
+        from dacnet import ops
+        rng = np.random.default_rng(31)
+        ext = d * (k - 1) + 1
+        h = max(1, ext - 2 * pad[0]) + 3
+        w = max(1, ext - 2 * pad[1]) + 4
+        padded = (h + 2 * pad[0], w + 2 * pad[1])
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * padded[0] * padded[1])
+        assert ops._row_blocks(9, *padded)[1] == [(0, 5), (5, 9)]
+
+        spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
+                        mode="depthwise", has_bias=True)
+        x = rng.standard_normal((3, 3, h, w))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        bias = rng.standard_normal(3)
+        want = conv2d_reference(x, kernel, bias, mode="depthwise", stride=stride,
+                                padding=pad, dilation=d)
+        got = conv2d_forward(x, kernel, bias, spec)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+        gout = rng.standard_normal(got.shape)
+        want_x, want_k, want_b = oracle_gradients(gout, x, kernel, spec)
+        gx, gk, gb = conv2d_backward(gout, x, kernel, spec, need_bias_grad=True)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        assert np.max(np.abs(gx - want_x)) <= 1e-12
+        assert np.max(np.abs(gk - want_k)) <= 1e-12
+        assert np.max(np.abs(gb - want_b)) <= 1e-12
+        gx, gk_only, _ = conv2d_backward(gout, x, kernel, spec, need_input_grad=False)
+        assert gx is None
+        assert np.max(np.abs(gk_only - want_k)) <= 1e-12
+
+    def test_full_size_blocks_match_oracle(self):
+        """At the module's own block size: 35 rows in blocks of 18 and 17."""
+        from dacnet import ops
+        rng = np.random.default_rng(37)
+        spec = ConvSpec(3, 7, 7, padding=2, dilation=2, mode="depthwise")
+        x = rng.standard_normal((5, 7, 40, 100))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        assert ops._row_blocks(35, 44, 104)[1] == [(0, 18), (18, 35)]
+        want = conv2d_reference(x, kernel, None, mode="depthwise", padding=(2, 2), dilation=2)
+        assert np.max(np.abs(conv2d_forward(x, kernel, None, spec) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_batch_equals_per_sample_bit_for_bit(self, stride):
+        """Each output sums its taps in one fixed order, whatever the blocking."""
+        rng = np.random.default_rng(41)
+        spec = ConvSpec(3, 24, 24, stride=stride, padding=2, dilation=2, mode="depthwise")
+        x = rng.standard_normal((9, 24, 14, 250))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        batch = conv2d_forward(x, kernel, None, spec)
+        single = np.concatenate([conv2d_forward(x[i:i + 1], kernel, None, spec)
+                                 for i in range(len(x))])
+        assert batch.tobytes() == single.tobytes()

@@ -200,3 +200,60 @@ class TestWavCodec:
         path.write_bytes(b"definitely not a wave file")
         with pytest.raises(DataError):
             wav.read_wav(path)
+
+    @pytest.mark.parametrize("cut", [500, 501])
+    def test_truncated_data_chunk_rejected(self, tmp_path, cut):
+        """A data chunk shorter than its declared size, even or odd, is a DataError."""
+        from dacnet import wav
+        path = tmp_path / "t.wav"
+        wav.write_wav(path, 16000, np.zeros(1000))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(DataError, match="truncated"):
+            wav.read_wav(path)
+
+    def test_partial_sample_rejected(self, tmp_path):
+        """A data chunk whose declared size is not whole samples is a DataError."""
+        import struct
+        from dacnet import wav
+        path = tmp_path / "p.wav"
+        wav.write_wav(path, 16000, np.zeros(1000))
+        raw = bytearray(path.read_bytes()[:-1])
+        struct.pack_into("<I", raw, 40, 1999)  # the data chunk's size field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="whole"):
+            wav.read_wav(path)
+
+
+class _FailingFile:
+    """File stand-in that writes the first chunk, then fails like a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if self.fh.tell():
+            raise OSError("no space left on device")
+        return self.fh.write(chunk)
+
+
+class TestCrashSafeWrites:
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_feature_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        from dacnet import fileio
+        feature = fe.LogMelFeature(np.ones((3, 28, 49)), CFG.fingerprint())
+        path = tmp_path / "x.dacf"
+        if existing:
+            fe.write_feature(path, feature)
+        before = path.read_bytes() if existing else None
+        monkeypatch.setattr(fileio, "open", _FailingFile, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            fe.write_feature(path, feature)
+        assert [p.name for p in tmp_path.iterdir()] == (["x.dacf"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before

@@ -30,6 +30,24 @@ class TestConvGradients:
         b = Tensor(rng.standard_normal(n), requires_grad=True)
         check(lambda: ops.mean_scalar(ops.conv2d(x, k, b, spec)), [x, k, b])
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel_size=3, padding=2, dilation=2, stride=1),
+        dict(kernel_size=3, padding=2, dilation=2, stride=2),
+        dict(kernel_size=3, padding=(1, 0), dilation=1, stride=1),
+        dict(kernel_size=3, padding=(3, 1), dilation=1, stride=1),
+    ])
+    def test_depthwise_blocks_match_finite_differences(self, monkeypatch, kwargs):
+        """Depthwise layers whose nine rows run as blocks of five and four."""
+        rng = np.random.default_rng(22)
+        spec = ConvSpec(in_channels=3, out_channels=3, mode="depthwise", has_bias=True, **kwargs)
+        ph, pw = spec.pad
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * (6 + 2 * ph) * (6 + 2 * pw))
+        assert ops._row_blocks(9, 6 + 2 * ph, 6 + 2 * pw)[1] == [(0, 5), (5, 9)]
+        x = Tensor(rng.standard_normal((3, 3, 6, 6)), requires_grad=True)
+        k = Tensor(rng.standard_normal(spec.kernel_shape()), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        check(lambda: ops.mean_scalar(ops.conv2d(x, k, b, spec)), [x, k, b])
+
     def test_depthwise_dilated_example_tolerance(self):
         """Random 1x3x6x6 depthwise d=2 layer: fd error <= 1e-6."""
         rng = np.random.default_rng(4)

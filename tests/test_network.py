@@ -16,7 +16,7 @@ from dacnet import (
 )
 from dacnet import ops
 from dacnet.complexity import analyze_network
-from dacnet.network import receptive_field
+from dacnet.network import Model, receptive_field
 
 
 def mini_config(**kw):
@@ -270,6 +270,41 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(DataError, match="truncated"):
             type(model).load(path)
+
+
+    @pytest.mark.parametrize("damage", [
+        lambda cfg: cfg.replace(b"{", b"\xff", 1),    # not UTF-8
+        lambda cfg: cfg.replace(b"{", b"#", 1),        # not JSON
+        lambda cfg: cfg.replace(b'"blocks"', b'"blockz"'),  # JSON, not a config
+    ])
+    def test_corrupt_config_is_data_error(self, tmp_path, damage):
+        import struct
+        from dacnet import DataError
+        path = tmp_path / "model.dacm"
+        build_network(mini_config(), 0).save(path)
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 5)
+        cfg = damage(raw[9:9 + cfg_len])
+        assert len(cfg) == cfg_len
+        path.write_bytes(raw[:9] + cfg + raw[9 + cfg_len:])
+        with pytest.raises(DataError, match="corrupt network config"):
+            Model.load(path)
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        from dacnet import fileio
+        from test_frontend import _FailingFile
+        model = build_network(mini_config(), 0)
+        path = tmp_path / "model.dacm"
+        if existing:
+            build_network(mini_config(), 1).save(path)
+        before = path.read_bytes() if existing else None
+        monkeypatch.setattr(fileio, "open", _FailingFile, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            model.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == (["model.dacm"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
 
 
 class TestCapacity:
