@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 import numpy as np
 
 from . import wav
 from .errors import ConfigError, DataError
+from .fileio import write_atomic
 from .frontend import (
     FrontendConfig,
     check_feature,
@@ -114,11 +116,12 @@ def load_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest
 
 
 def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "label", "split"])
-        for r in manifest.rows:
-            writer.writerow([r.path, r.label, r.split])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["path", "label", "split"])
+    for r in manifest.rows:
+        writer.writerow([r.path, r.label, r.split])
+    write_atomic(path, [text.getvalue().encode()])
 
 
 def load_segment(path: str | Path) -> np.ndarray:
@@ -295,9 +298,6 @@ class FeatureCache:
         rows = manifest.split(split)
         if not rows:
             raise DataError(f"manifest has no rows in split {split!r}")
-        values = parallel_map(
-            lambda row: read_feature(self.path_for(row.path), self.fingerprint).values,
-            rows, 1,
-        )
+        values = [read_feature(self.path_for(row.path), self.fingerprint).values for row in rows]
         labels = np.array([r.label_index for r in rows], dtype=np.int64)
         return np.stack(values), labels

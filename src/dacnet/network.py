@@ -331,13 +331,25 @@ class MultiScaleEmbedding:
     embedding: np.ndarray
 
 
+class _Unfilled:
+    """Stands in for the weight generator when a checkpoint overwrites every weight.
+
+    ``Model.load`` passes this class as the seed, so the model is built by
+    the one constructor but its weights are left uninitialized, not drawn.
+    """
+
+    @staticmethod
+    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
+        return np.empty(size, dtype=DTYPE)
+
+
 class Model:
     """Parameter set plus execution plan for one NetworkConfig."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
         config.validate()
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = seed if seed is _Unfilled else np.random.default_rng(seed)
         self.stem = _ConvUnit("stem", stem_conv_spec(config), rng)
         self.blocks = [
             _Block(f"block{i}", inst, config.residual_enabled, rng)
@@ -467,7 +479,7 @@ class Model:
         (cfg_len,) = struct.unpack_from("<I", raw, 5)
         try:
             config = NetworkConfig.from_json(raw[9:9 + cfg_len].decode())
-            model = Model(config, seed=0)
+            model = Model(config, seed=_Unfilled)
         except (ValueError, TypeError, ConfigError) as exc:  # json and UTF-8 errors are ValueErrors
             raise DataError(f"{path}: corrupt network config: {exc}") from exc
         offset = 9 + cfg_len
@@ -475,9 +487,9 @@ class Model:
             nbytes = t.size * 8
             if offset + nbytes > len(raw):
                 raise DataError(f"{path}: truncated at parameter {name}")
-            t.data = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").reshape(
+            t.data[...] = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").reshape(
                 t.data.shape
-            ).copy()
+            )
             offset += nbytes
         for buf in model._bn_buffers():
             nbytes = buf.size * 8

@@ -3,12 +3,13 @@
 The convolutions are direct implementations: each kernel tap contributes one
 fused multiply-accumulate per output position, with taps spaced ``dilation``
 samples apart in the padded input and output positions spaced ``stride``
-apart. No im2col buffers, padded-width garbage columns or transform tricks,
-so the executed multiply-accumulate count per layer equals the analytic cost
-model exactly; an optional instrumentation context (:func:`count_macs`)
-tallies that count from the runtime operand shapes as the kernels execute.
-The count covers the forward pass only and is the same whichever path below
-runs.
+apart. Where taps are copied into column buffers, a buffer holds exactly the
+k*k tap windows of each output position: no padded-width garbage columns and
+no transform tricks, so the executed multiply-accumulate count per layer
+equals the analytic cost model exactly; an optional instrumentation context
+(:func:`count_macs`) tallies that count from the runtime operand shapes as
+the kernels execute. The count covers the forward pass only and is the same
+whichever path below runs.
 
 Pointwise and standard taps are batched matrix products (BLAS), in the
 forward pass and for the kernel gradient alike. A pointwise layer at stride 1
@@ -16,22 +17,23 @@ without padding reads its input as the one and only tap window, so its
 backward pass is two products and nothing else: no zero-filled padded
 gradient buffer and no scatter-add.
 
-A depthwise layer makes two elementwise passes (multiply, add) per tap, so it
-is bound by memory traffic, not arithmetic. It views the activation as
-``B*C`` independent rows of shape ``(H, W)``, each with its own k*k taps, and
-runs every tap over one block of rows at a time. A block is padded into a
-zero-bordered buffer of about ``_BLOCK_BYTES`` that the call reuses, so the
-block, its output and its scratch stay in cache across all taps, and no
-padded copy of the whole input is made or kept (the backward pass re-pads
-each block from the input). Each output element still sums its taps in
-row-major order, so the result does not depend on the blocking and is the
-same bit for bit as one whole-array tap loop. Per block, the backward pass
-takes the kernel-gradient rows as one dot product per row and tap, summed
-over the batch at the end. At stride 1 with ``pad <= d*(k-1)`` the input
-gradient is a gather: the same tap loop run over the output gradient padded
-by ``d*(k-1) - pad``, with the kernel rotated 180 degrees, which needs no
-zero-filled full-size buffer, scatter-add or crop. Other depthwise layers
-scatter-add each block's taps into a padded block buffer and crop it.
+A depthwise layer views the activation as ``B*C`` independent rows of shape
+``(H, W)``, each with its own k*k taps, and works on one block of rows at a
+time: it copies the block's tap windows into a column buffer of shape
+``(rows, k*k, Ho*Wo)``, about ``_BLOCK_BYTES`` in size, and contracts it with
+the rows' taps in one batched product (one BLAS matrix-vector product per
+row). The buffer is allocated per call and reused across blocks. Only the
+window parts inside the unpadded input are ever copied, so the buffer's zero
+border, written once, stands for the padding and no padded copy of the input
+is made. When the stride divides the dilation (every stride-1 layer, and
+every depthwise layer of the presets), only one phase of the input receives
+gradient and the layer is a stride-1 layer on that phase
+(:func:`_phase_split`). Its backward pass takes both gradients from one
+column buffer of the output gradient: the input gradient is the taps rotated
+180 degrees times those columns (a gather), the kernel gradient those columns
+times the input. Other depthwise layers take the kernel gradient from the
+input's columns and fold an outer product of taps and output gradient back
+onto the input.
 
 Batch normalization can apply the following ReLU in place on its own output
 (``batchnorm(..., relu=True)``), which saves a copy, a mask array and a tape
@@ -214,7 +216,7 @@ def _conv2d_forward(
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Return the layer output and, for standard and pointwise layers, the padded input.
 
-    Depthwise layers pad block by block and keep no padded copy.
+    Depthwise layers make no padded copy.
     """
     if spec.mode == "depthwise":
         out, xp = _depthwise_forward(x, kernel, spec, ho, wo), None
@@ -267,7 +269,7 @@ def conv2d_backward(
 
     ``padded_input`` may pass the padded input saved from the forward pass of
     a standard or pointwise layer to avoid re-padding; depthwise layers
-    re-pad block by block and ignore it.
+    ignore it.
     """
     _check_conv_input(x, kernel, spec)
     b, _, h, w = x.shape
@@ -329,56 +331,72 @@ def _kernel_tap_grad(gout_flat: np.ndarray, win_flat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Depthwise convolution, cache-blocked
+# Depthwise convolution: block-local tap columns, one batched product per block
 # ---------------------------------------------------------------------------
 
-# Target size of one zero-padded block of rows. A block, its output and its
-# scratch then stay in a 2 MiB L2 cache across all k*k taps; whole-array tap
-# loops stream every operand from memory once per tap. Of 128 KiB to 2 MiB,
-# 512 KiB was fastest on the toy and reference layers.
-_BLOCK_BYTES = 512 * 1024
+# Target size of one block's column buffer, (rows, k*k, Ho*Wo) doubles. The
+# block's rows, columns and output then stay in a 2 MiB L2 cache between the
+# copy into the columns and the product that reads them. Of 256 KiB to 4 MiB,
+# 1 MiB was fastest over the toy and reference layers.
+_BLOCK_BYTES = 1024 * 1024
 
 
-def _row_blocks(rows: int, padded_h: int, padded_w: int) -> tuple[int, list[tuple[int, int]]]:
+def _row_blocks(rows: int, row_bytes: int) -> tuple[int, list[tuple[int, int]]]:
     """Rows per block, and each block's (start, stop), for blocks of nearly equal size.
 
-    The block count is the padded size over ``_BLOCK_BYTES``, rounded, so no
-    block is a small remainder that would pay the per-tap call overhead for
-    a few rows.
+    The block count is ``rows * row_bytes`` over ``_BLOCK_BYTES``, rounded,
+    so no block is a small remainder that would pay the per-block call
+    overhead for a few rows.
     """
-    count = max(1, round(rows * 8 * padded_h * padded_w / _BLOCK_BYTES))
+    count = max(1, round(rows * row_bytes / _BLOCK_BYTES))
     step = -(-rows // count)
     return step, [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
-def _pad_buffer(step: int, h: int, w: int, ph: int, pw: int) -> Optional[np.ndarray]:
-    """A zero-bordered buffer for ``step`` padded rows, or None without padding."""
-    return np.zeros((step, h + 2 * ph, w + 2 * pw), dtype=DTYPE) if ph or pw else None
-
-
-def _padded_block(rows: np.ndarray, buf: Optional[np.ndarray], ph: int, pw: int) -> np.ndarray:
-    """``rows`` copied into the interior of ``buf`` (only the interior is ever written)."""
-    if buf is None:
-        return rows
-    n, h, w = rows.shape
-    block = buf[:n]
-    block[:, ph:ph + h, pw:pw + w] = rows
-    return block
-
-
-def _tap_sum(xp: np.ndarray, taps: np.ndarray, spec: ConvSpec,
-             out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out[r] = sum_t taps[r, t] * window_t(xp[r])`` over taps in row-major order."""
-    k = spec.kernel_size
-    _, ho, wo = out.shape
-    columns = taps.T[:, :, None, None]
-    for t in range(k * k):
-        win = _tap_window(xp, t // k, t % k, spec, ho, wo)
-        if t == 0:
-            np.multiply(columns[t], win, out=out)
+def _tap_slices(k: int, d: int, s: int, pad: int, size: int,
+                out_size: int) -> list[tuple[slice, slice]]:
+    """Per tap along one axis: (output slice, input slice) of the outputs
+    whose tap reads inside the unpadded axis; the others read zero padding."""
+    slices = []
+    for t in range(k):
+        offset = t * d - pad
+        i0 = max(0, -(offset // s))
+        i1 = min(out_size, (size - 1 - offset) // s + 1)
+        if i1 <= i0:
+            slices.append((slice(0, 0), slice(0, 0)))
         else:
-            np.multiply(columns[t], win, out=scratch)
-            out += scratch
+            slices.append((slice(i0, i1), slice(i0 * s + offset, (i1 - 1) * s + offset + 1, s)))
+    return slices
+
+
+class _Columns:
+    """A reused column buffer for one depthwise geometry, (step, k*k, Ho, Wo).
+
+    ``unfold`` copies each tap's window of a block of rows into its column
+    and ``fold`` adds the columns back onto the rows (its adjoint). Only the
+    parts of the windows that lie inside the unpadded rows are ever copied,
+    so the buffer's zero border, written once, stands for the padding.
+    """
+
+    def __init__(self, step: int, k: int, d: int, s: int, pad: tuple[int, int],
+                 hw: tuple[int, int], out_hw: tuple[int, int]):
+        self.buf = np.zeros((step, k * k, *out_hw), dtype=DTYPE)
+        rows, cols = (_tap_slices(k, d, s, p, n, m) for p, n, m in zip(pad, hw, out_hw))
+        self.taps = [(kh * k + kw, oh, ow, ih, iw)
+                     for kh, (oh, ih) in enumerate(rows) for kw, (ow, iw) in enumerate(cols)]
+
+    def unfold(self, rows: np.ndarray) -> np.ndarray:
+        """The block's columns as (rows, k*k, Ho*Wo): one per output and tap."""
+        cols = self.buf[:len(rows)]
+        for t, oh, ow, ih, iw in self.taps:
+            cols[:, t, oh, ow] = rows[:, ih, iw]
+        return cols.reshape(len(rows), cols.shape[1], -1)
+
+    def fold(self, cols: np.ndarray, rows: np.ndarray) -> None:
+        """``rows += `` the adjoint of :meth:`unfold` applied to ``cols``."""
+        cols = cols.reshape(len(rows), *self.buf.shape[1:])
+        for t, oh, ow, ih, iw in self.taps:
+            rows[:, ih, iw] += cols[:, t, oh, ow]
 
 
 def _row_taps(kernel: np.ndarray, batch: int) -> np.ndarray:
@@ -390,18 +408,36 @@ def _row_taps(kernel: np.ndarray, batch: int) -> np.ndarray:
 def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
                        ho: int, wo: int) -> np.ndarray:
     b, c, h, w = x.shape
-    ph, pw = spec.pad
-    x_rows = x.reshape(b * c, h, w)
-    taps = _row_taps(kernel, b)
-    out = np.empty((b * c, ho, wo), dtype=DTYPE)
-    step, blocks = _row_blocks(b * c, h + 2 * ph, w + 2 * pw)
-    buf = _pad_buffer(step, h, w, ph, pw)
-    scratch = np.empty((step, ho, wo), dtype=DTYPE)
+    k, n = spec.kernel_size, b * c
+    x_rows = x.reshape(n, h, w)
+    taps = _row_taps(kernel, b)[:, None, :]
+    out = np.empty((n, 1, ho * wo), dtype=DTYPE)
+    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
+    columns = _Columns(step, k, spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
     for r0, r1 in blocks:
-        xp = _padded_block(x_rows[r0:r1], buf, ph, pw)
-        _tap_sum(xp, taps[r0:r1], spec, out[r0:r1], scratch[:r1 - r0])
-    _tally(spec.kernel_size ** 2 * out.size)
+        np.matmul(taps[r0:r1], columns.unfold(x_rows[r0:r1]), out=out[r0:r1])
+    _tally(k * k * out.size)
     return out.reshape(b, c, ho, wo)
+
+
+def _phase_split(spec: ConvSpec):
+    """The stride-1 layer that a depthwise layer equals on its one live input phase.
+
+    When the stride s divides the dilation d, every tap of every output reads
+    input positions congruent to ``-pad`` modulo s, so the layer is a
+    stride-1 layer at dilation d/s over ``x[..., fh::s, fw::s]`` with
+    ``fh = -pad_h % s`` and ``fw = -pad_w % s``, and no other input position
+    receives gradient. Returns ``((fh, fw), (pad_h, pad_w), d // s)``, the
+    phase and the left padding and dilation of that layer (its right padding
+    follows from the output size), or None when s does not divide d. At
+    stride 1 the layer is its own phase.
+    """
+    s = spec.stride
+    if spec.dilation % s:
+        return None
+    phases = tuple(-pad % s for pad in spec.pad)
+    pads = tuple((pad + phase) // s for pad, phase in zip(spec.pad, phases))
+    return phases, pads, spec.dilation // s
 
 
 def _depthwise_backward(
@@ -413,62 +449,90 @@ def _depthwise_backward(
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
     """Input and kernel gradients of a depthwise layer, block by block.
 
-    At stride 1 with ``pad <= d*(k-1)`` the input gradient is a gather: the
-    forward tap loop over the output gradient padded by ``d*(k-1) - pad``,
-    with the kernel rotated 180 degrees. Otherwise each block's taps are
-    scatter-added into a padded block buffer and cropped.
+    A layer that :func:`_phase_split` reduces to a stride-1 layer on its live
+    input phase takes both gradients from one column buffer of the output
+    gradient (:func:`_gather_backward`); at stride > 1 its input gradient is
+    written to that phase of a zeroed array. Other layers go through
+    :func:`_scatter_backward`.
     """
     b, c, h, w = x.shape
-    _, _, ho, wo = output_grad.shape
-    k, d, n = spec.kernel_size, spec.dilation, b * c
-    ph, pw = spec.pad
-    qh, qw = d * (k - 1) - ph, d * (k - 1) - pw
-    gather = spec.stride == 1 and qh >= 0 and qw >= 0
+    k, s, n = spec.kernel_size, spec.stride, b * c
     x_rows = x.reshape(n, h, w)
-    g_rows = output_grad.reshape(n, ho, wo)
+    g_rows = output_grad.reshape(n, *output_grad.shape[2:])
     taps = _row_taps(kernel, b)
-
-    step, blocks = _row_blocks(n, h + 2 * ph, w + 2 * pw)
-    x_buf = _pad_buffer(step, h, w, ph, pw)
-    tap_grads = np.empty((n, k * k), dtype=DTYPE)
-    input_grad = None
-    if need_input_grad:
-        input_grad = np.empty((n, h, w), dtype=DTYPE)
-        if gather:
-            rotated = taps[:, ::-1]
-            g_buf = _pad_buffer(step, ho, wo, qh, qw)
-            scratch = np.empty((step, h, w), dtype=DTYPE)
-        else:
-            padded_grad = np.empty((step, h + 2 * ph, w + 2 * pw), dtype=DTYPE)
-            scratch = np.empty((step, ho, wo), dtype=DTYPE)
-
-    for r0, r1 in blocks:
-        xp = _padded_block(x_rows[r0:r1], x_buf, ph, pw)
-        g = g_rows[r0:r1]
-        for kh in range(k):
-            for kw in range(k):
-                tap_grads[r0:r1, kh * k + kw] = np.einsum(
-                    "rhw,rhw->r", g, _tap_window(xp, kh, kw, spec, ho, wo)
-                )
-        if not need_input_grad:
-            continue
-        tmp = scratch[:r1 - r0]
-        if gather:
-            gp = _padded_block(g, g_buf, qh, qw)
-            _tap_sum(gp, rotated[r0:r1], spec, input_grad[r0:r1], tmp)
-        else:
-            gxp = padded_grad[:r1 - r0]
-            gxp.fill(0.0)
-            for kh in range(k):
-                for kw in range(k):
-                    np.multiply(taps[r0:r1, kh * k + kw, None, None], g, out=tmp)
-                    _tap_window(gxp, kh, kw, spec, ho, wo)[...] += tmp
-            input_grad[r0:r1] = gxp[:, ph:ph + h, pw:pw + w]
-
+    split = _phase_split(spec)
+    if split is None:
+        input_grad, tap_grads = _scatter_backward(g_rows, x_rows, taps, spec, need_input_grad)
+    else:
+        (fh, fw), pad, m = split
+        input_grad, tap_grads = _gather_backward(
+            g_rows, x_rows[:, fh::s, fw::s], taps, k, m, pad, need_input_grad
+        )
+        if input_grad is not None and s > 1:
+            live, input_grad = input_grad, np.zeros((n, h, w), dtype=DTYPE)
+            input_grad[:, fh::s, fw::s] = live
     kernel_grad = tap_grads.reshape(b, c, k * k).sum(axis=0).reshape(kernel.shape)
     if input_grad is not None:
         input_grad = input_grad.reshape(x.shape)
     return input_grad, kernel_grad
+
+
+def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray, k: int, d: int,
+                     pad: tuple[int, int], need_input_grad: bool):
+    """Gradients of a stride-1 depthwise layer from one column buffer per block.
+
+    The output gradient padded by ``d*(k-1) - pad`` (cropped where that is
+    negative) and unfolded at dilation d has one column per input position
+    and tap, ``cols[r, t]``. The input
+    gradient is the taps rotated 180 degrees times those columns, and the
+    kernel gradient of tap ``k*k-1-t`` is ``cols[r, t] . x[r]``, by the
+    correlation identity sum_p g[p] x[p+o] = sum_q x[q] g[q-o].
+    """
+    n, ho, wo = g_rows.shape
+    _, h, w = x_rows.shape
+    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
+    g_pad = (d * (k - 1) - pad[0], d * (k - 1) - pad[1])
+    columns = _Columns(step, k, d, 1, g_pad, (ho, wo), (h, w))
+    rotated = np.ascontiguousarray(taps[:, None, ::-1])
+    tap_grads = np.empty((n, k * k, 1), dtype=DTYPE)
+    input_grad = np.empty((n, 1, h * w), dtype=DTYPE) if need_input_grad else None
+    for r0, r1 in blocks:
+        cols = columns.unfold(g_rows[r0:r1])
+        np.matmul(cols, x_rows[r0:r1].reshape(r1 - r0, h * w, 1), out=tap_grads[r0:r1])
+        if need_input_grad:
+            np.matmul(rotated[r0:r1], cols, out=input_grad[r0:r1])
+    if input_grad is not None:
+        input_grad = input_grad.reshape(n, h, w)
+    return input_grad, tap_grads[:, ::-1, 0]
+
+
+def _scatter_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
+                      spec: ConvSpec, need_input_grad: bool):
+    """Gradients of any depthwise layer, block by block.
+
+    The kernel gradient is the input's columns times the output gradient.
+    The input gradient folds the outer product of taps and output gradient
+    back onto the input (an elementwise product: as a matmul with an inner
+    dimension of 1 it took twice as long).
+    """
+    n, ho, wo = g_rows.shape
+    _, h, w = x_rows.shape
+    k = spec.kernel_size
+    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
+    columns = _Columns(step, k, spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
+    tap_grads = np.empty((n, k * k, 1), dtype=DTYPE)
+    input_grad = None
+    if need_input_grad:
+        input_grad = np.zeros((n, h, w), dtype=DTYPE)
+        outer = np.empty((step, k * k, ho * wo), dtype=DTYPE)
+        tap_cols = taps[:, :, None]
+    for r0, r1 in blocks:
+        g = g_rows[r0:r1].reshape(r1 - r0, ho * wo, 1)
+        np.matmul(columns.unfold(x_rows[r0:r1]), g, out=tap_grads[r0:r1])
+        if need_input_grad:
+            cols = np.multiply(tap_cols[r0:r1], g.reshape(r1 - r0, 1, ho * wo), out=outer[:r1 - r0])
+            columns.fold(cols, input_grad[r0:r1])
+    return input_grad, tap_grads[:, :, 0]
 
 
 # ---------------------------------------------------------------------------

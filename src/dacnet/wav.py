@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
+from .fileio import write_atomic
 
 _PCM = 1
 _IEEE_FLOAT = 3
@@ -85,4 +86,4 @@ def write_wav(path: str | Path, sample_rate: int, samples: np.ndarray, fmt: str 
         sample_rate * block_align, block_align, bits,
         b"data", len(payload),
     )
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, [header, payload])

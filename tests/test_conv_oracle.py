@@ -260,26 +260,49 @@ class TestDepthwiseBlocks:
         (3, 1, 1, (1, 0)),  # asymmetric padding
         (5, 2, 1, (1, 3)),
         (1, 1, 1, (0, 0)),
-        (3, 2, 2, (2, 2)),  # the network's stride-2 layer: scatter gradient
-        (3, 3, 2, (3, 1)),
+        (3, 2, 2, (2, 2)),  # the network's stride-2 layer: gather on one input phase
+        (3, 3, 2, (3, 1)),  # stride does not divide dilation: scatter gradient
         (5, 1, 2, (2, 2)),
         (1, 1, 2, (1, 0)),
-        (3, 1, 1, (3, 1)),  # pad > d*(k-1): scatter gradient at stride 1
+        (3, 1, 1, (3, 1)),  # pad > d*(k-1): the gather crops the output gradient
         (3, 1, 1, (0, 3)),
         (1, 1, 1, (1, 1)),
     ])
     def test_forward_and_backward_match_oracle(self, monkeypatch, k, d, stride, pad):
-        from dacnet import ops
-        rng = np.random.default_rng(31)
         ext = d * (k - 1) + 1
         h = max(1, ext - 2 * pad[0]) + 3
         w = max(1, ext - 2 * pad[1]) + 4
-        padded = (h + 2 * pad[0], w + 2 * pad[1])
-        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * padded[0] * padded[1])
-        assert ops._row_blocks(9, *padded)[1] == [(0, 5), (5, 9)]
-
         spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
                         mode="depthwise", has_bias=True)
+        self.check_in_two_blocks(monkeypatch, spec, h, w)
+
+    @pytest.mark.parametrize("k,d,stride,pad,hw,split", [
+        (3, 2, 2, (1, 1), (7, 9), ((1, 1), (1, 1), 1)),   # live phase 1 on both axes
+        (3, 4, 2, (3, 2), (9, 10), ((1, 0), (2, 1), 2)),  # d/s = 2
+        (3, 3, 3, (1, 3), (11, 11), ((2, 0), (1, 1), 1)),  # stride 3
+        (3, 2, 2, (2, 2), (9, 13), ((0, 0), (1, 1), 1)),  # odd H and W at d = s = 2
+        (3, 2, 2, (1, 1), (6, 7), ((1, 1), (1, 1), 1)),  # live phase padded 1 left, 0 right
+        (3, 3, 2, (2, 2), (9, 11), None),  # s does not divide d: scatter gradient
+        (1, 2, 2, (1, 1), (1, 1), ((1, 1), (1, 1), 1)),  # every tap reads padding
+    ])
+    def test_phase_split_paths_match_oracle(self, monkeypatch, k, d, stride, pad, hw, split):
+        """Strided layers whose gradient comes from one live input phase, or not."""
+        from dacnet import ops
+        spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
+                        mode="depthwise", has_bias=True)
+        assert ops._phase_split(spec) == split
+        self.check_in_two_blocks(monkeypatch, spec, *hw)
+
+    @staticmethod
+    def check_in_two_blocks(monkeypatch, spec, h, w):
+        from dacnet import ops
+        rng = np.random.default_rng(31)
+        k, stride, pad, d = spec.kernel_size, spec.stride, spec.pad, spec.dilation
+        ho, wo = spec.output_hw(h, w)
+        row_bytes = 8 * k * k * ho * wo  # one row of the layer's column buffer
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * row_bytes)
+        assert ops._row_blocks(9, row_bytes)[1] == [(0, 5), (5, 9)]
+
         x = rng.standard_normal((3, 3, h, w))
         kernel = rng.standard_normal(spec.kernel_shape())
         bias = rng.standard_normal(3)
@@ -305,9 +328,9 @@ class TestDepthwiseBlocks:
         from dacnet import ops
         rng = np.random.default_rng(37)
         spec = ConvSpec(3, 7, 7, padding=2, dilation=2, mode="depthwise")
-        x = rng.standard_normal((5, 7, 40, 100))
+        x = rng.standard_normal((5, 7, 14, 60))
         kernel = rng.standard_normal(spec.kernel_shape())
-        assert ops._row_blocks(35, 44, 104)[1] == [(0, 18), (18, 35)]
+        assert ops._row_blocks(35, 8 * 9 * 14 * 60)[1] == [(0, 18), (18, 35)]
         want = conv2d_reference(x, kernel, None, mode="depthwise", padding=(2, 2), dilation=2)
         assert np.max(np.abs(conv2d_forward(x, kernel, None, spec) - want)) <= 1e-12
 

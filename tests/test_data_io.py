@@ -40,6 +40,30 @@ class TestManifest:
         back = load_manifest(tmp_path / "manifest.csv", check_files=False)
         assert back.rows == rows
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        from dacnet import fileio
+        from test_frontend import _FailingFile
+
+        class _FailsMidChunk(_FailingFile):
+            """The manifest is one chunk: write half of it, then fail."""
+
+            def write(self, chunk):
+                self.fh.write(chunk[:len(chunk) // 2])
+                raise OSError("no space left on device")
+
+        path = tmp_path / "manifest.csv"
+        rows = [ManifestRow("audio/a.wav", "Cooking", "train")]
+        if existing:
+            write_manifest(DatasetManifest(root=tmp_path, rows=rows), path)
+        before = path.read_bytes() if existing else None
+        monkeypatch.setattr(fileio, "open", _FailsMidChunk, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_manifest(DatasetManifest(root=tmp_path, rows=rows * 2), path)
+        assert [p.name for p in tmp_path.iterdir()] == (["manifest.csv"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
+
     def test_unknown_label_rejected_with_row(self, tmp_path):
         path = tmp_path / "m.csv"
         write_rows(path, [("a.wav", "Cooking", "train"), ("b.wav", "Sleeping", "train")])

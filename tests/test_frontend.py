@@ -257,3 +257,17 @@ class TestCrashSafeWrites:
         assert [p.name for p in tmp_path.iterdir()] == (["x.dacf"] if existing else [])
         if existing:
             assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_wav_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
+        from dacnet import fileio, wav
+        path = tmp_path / "x.wav"
+        if existing:
+            wav.write_wav(path, 16000, np.zeros(100))
+        before = path.read_bytes() if existing else None
+        monkeypatch.setattr(fileio, "open", _FailingFile, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            wav.write_wav(path, 16000, np.ones(100))
+        assert [p.name for p in tmp_path.iterdir()] == (["x.wav"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before

@@ -35,14 +35,15 @@ class TestConvGradients:
         dict(kernel_size=3, padding=2, dilation=2, stride=2),
         dict(kernel_size=3, padding=(1, 0), dilation=1, stride=1),
         dict(kernel_size=3, padding=(3, 1), dilation=1, stride=1),
+        dict(kernel_size=3, padding=4, dilation=4, stride=2),  # one live phase, d/s = 2
     ])
     def test_depthwise_blocks_match_finite_differences(self, monkeypatch, kwargs):
         """Depthwise layers whose nine rows run as blocks of five and four."""
         rng = np.random.default_rng(22)
         spec = ConvSpec(in_channels=3, out_channels=3, mode="depthwise", has_bias=True, **kwargs)
-        ph, pw = spec.pad
-        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * 8 * (6 + 2 * ph) * (6 + 2 * pw))
-        assert ops._row_blocks(9, 6 + 2 * ph, 6 + 2 * pw)[1] == [(0, 5), (5, 9)]
+        row_bytes = 8 * spec.kernel_size ** 2 * np.prod(spec.output_hw(6, 6))
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * row_bytes)
+        assert ops._row_blocks(9, row_bytes)[1] == [(0, 5), (5, 9)]
         x = Tensor(rng.standard_normal((3, 3, 6, 6)), requires_grad=True)
         k = Tensor(rng.standard_normal(spec.kernel_shape()), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)

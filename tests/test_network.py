@@ -262,6 +262,23 @@ class TestSerialization:
         probe = rng.standard_normal((2, 3, 28, 20))
         assert back.predict_logits(probe).tobytes() == model.predict_logits(probe).tobytes()
 
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        """A checkpoint load builds the units without drawing weights it overwrites."""
+        model = build_network(mini_config(), seed=7)
+        path = tmp_path / "model.dacm"
+        model.save(path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("loading a checkpoint drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        back = Model.load(path)
+        assert [t.data.tobytes() for _, t in back.parameters()] == [
+            t.data.tobytes() for _, t in model.parameters()
+        ]
+        back.save(tmp_path / "again.dacm")
+        assert (tmp_path / "again.dacm").read_bytes() == path.read_bytes()
+
     def test_truncated_model_rejected(self, tmp_path):
         from dacnet import DataError
         model = build_network(mini_config(), 0)
