@@ -17,6 +17,7 @@ import ctypes
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .data import (
     load_manifest,
 )
 from .errors import ConfigError, DacnetError, DataError, NumericError
+from .fileio import write_atomic
 from .network import ABLATION_VARIANTS, Model, ablation_variant, build_network
 from .presets import PRESETS, resolve_run_config
 from .training import EpochRecord, evaluate, train
@@ -135,22 +137,34 @@ def _resolve(args):
     return resolve_run_config(args.preset, args.config, args.overrides)
 
 
-def _prepare_out(out: Path) -> None:
+@contextmanager
+def _run_directory(out: Path):
+    """Create the empty run directory ``out`` for the ``with`` block.
+
+    If the block raises, everything written so far moves to
+    '<out>.quarantined' (or '<out>.quarantined.N' when that exists) and the
+    exception propagates.
+    """
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} exists and is not empty")
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except Exception:
+        if out.exists():
+            target = out.with_name(out.name + ".quarantined")
+            n = 1
+            while target.exists():
+                target = out.with_name(f"{out.name}.quarantined.{n}")
+                n += 1
+            out.rename(target)
+            print(f"partial artifacts quarantined in {target}", file=sys.stderr)
+        raise
 
 
-def _quarantine(out: Path) -> Path | None:
-    if not out.exists():
-        return None
-    target = out.with_name(out.name + ".quarantined")
-    n = 1
-    while target.exists():
-        target = out.with_name(f"{out.name}.quarantined.{n}")
-        n += 1
-    out.rename(target)
-    return target
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all (:func:`write_atomic`)."""
+    write_atomic(path, [text.encode()])
 
 
 def _load_features(args, run, splits):
@@ -197,7 +211,7 @@ def _train_one(run, data, seed, out_dir: Path, log_lines: list[str], max_epochs=
     if best["epoch"] == 0:
         model.save(out_dir / "checkpoint_best.dacm")
         best["epoch"] = len(history)
-    (out_dir / "train_log.txt").write_text("\n".join(log_lines) + "\n" if log_lines else "")
+    _write_text(out_dir / "train_log.txt", "\n".join(log_lines) + "\n" if log_lines else "")
     return model, history, best
 
 
@@ -226,51 +240,38 @@ def cmd_features(args) -> None:
 
 def cmd_train(args) -> None:
     run = _resolve(args)
-    _prepare_out(args.out)
-    try:
+    with _run_directory(args.out):
         _, data = _load_features(args, run, ("train", "validation"))
-        (args.out / "config.json").write_text(run.to_json() + "\n")
+        _write_text(args.out / "config.json", run.to_json() + "\n")
         model, history, best = _train_one(
             run, data, args.seed, args.out, [], max_epochs=args.max_epochs
         )
-        if history:
-            last = history[-1]
-            print(f"finished: last epoch {last.epoch}, train loss {last.train_loss:.6f}")
-            if best["ca"] >= 0 and any(r.val_ca is not None for r in history):
-                print(f"best validation CA {best['ca']:.4f} at epoch {best['epoch']} "
-                      f"(checkpoint_best.dacm); last epoch saved as checkpoint_last.dacm")
-        else:
-            print("finished: 0 epochs, initial weights checkpointed")
-    except Exception:
-        moved = _quarantine(args.out)
-        if moved is not None:
-            print(f"partial artifacts quarantined in {moved}", file=sys.stderr)
-        raise
+    if history:
+        last = history[-1]
+        print(f"finished: last epoch {last.epoch}, train loss {last.train_loss:.6f}")
+        if best["ca"] >= 0 and any(r.val_ca is not None for r in history):
+            print(f"best validation CA {best['ca']:.4f} at epoch {best['epoch']} "
+                  f"(checkpoint_best.dacm); last epoch saved as checkpoint_last.dacm")
+    else:
+        print("finished: 0 epochs, initial weights checkpointed")
 
 
 def cmd_eval(args) -> None:
     run = _resolve(args)
-    _prepare_out(args.out)
-    try:
+    with _run_directory(args.out):
         model = Model.load(args.model)
         manifest = load_manifest(args.data / "manifest.csv")
         cache = FeatureCache(_cache_root(args, args.data), run.frontend)
         cache.ensure(manifest, workers=args.workers)
         features, labels = cache.load_split(manifest, args.split)
         ca, matrix = evaluate(model, features, labels, workers=args.workers)
-        (args.out / "config.json").write_text(run.to_json() + "\n")
-        (args.out / "confusion.csv").write_text(matrix.to_csv(LABELS))
-        (args.out / "confusion.txt").write_text(matrix.to_text(LABELS))
-        (args.out / "eval.txt").write_text(
-            f"split {args.split}\nsegments {matrix.total}\nCA {ca:.6f}\n"
-        )
-        print(matrix.to_text(LABELS))
-        print(f"CA on {args.split}: {ca:.4f} ({matrix.total} segments)")
-    except Exception:
-        moved = _quarantine(args.out)
-        if moved is not None:
-            print(f"partial artifacts quarantined in {moved}", file=sys.stderr)
-        raise
+        _write_text(args.out / "config.json", run.to_json() + "\n")
+        _write_text(args.out / "confusion.csv", matrix.to_csv(LABELS))
+        _write_text(args.out / "confusion.txt", matrix.to_text(LABELS))
+        _write_text(args.out / "eval.txt",
+                    f"split {args.split}\nsegments {matrix.total}\nCA {ca:.6f}\n")
+    print(matrix.to_text(LABELS))
+    print(f"CA on {args.split}: {ca:.4f} ({matrix.total} segments)")
 
 
 def cmd_analyze(args) -> None:
@@ -305,18 +306,17 @@ def cmd_analyze(args) -> None:
             {"model": name, "ps": ps, "mao": mao, "ca": ca}
             for name, ps, mao, ca in REFERENCE_RESULTS
         ]
-        args.json_out.write_text(json.dumps(doc, indent=2) + "\n")
+        _write_text(args.json_out, json.dumps(doc, indent=2) + "\n")
         print(f"JSON report written to {args.json_out}")
 
 
 def cmd_ablate(args) -> None:
     run = _resolve(args)
-    _prepare_out(args.out)
-    try:
+    with _run_directory(args.out):
         _, data = _load_features(args, run, ("train", "validation", "test"))
         if "test" not in data:
             raise DataError("ablation needs a test split")
-        (args.out / "config.json").write_text(run.to_json() + "\n")
+        _write_text(args.out / "config.json", run.to_json() + "\n")
         xte, yte = data["test"]
         results = []
         for variant in ABLATION_VARIANTS:
@@ -327,7 +327,7 @@ def cmd_ablate(args) -> None:
                 vrun, data, args.seed, vdir, [], max_epochs=args.max_epochs
             )
             ca, matrix = evaluate(model, xte, yte, workers=args.workers)
-            (vdir / "confusion.csv").write_text(matrix.to_csv(LABELS))
+            _write_text(vdir / "confusion.csv", matrix.to_csv(LABELS))
             results.append((variant, ca))
         names = {
             "full": "dilated convolutions + multi-scale embedding",
@@ -338,16 +338,10 @@ def cmd_ablate(args) -> None:
         for variant, ca in results:
             lines.append(f"{variant:<12} {ca:>8.4f}   {names[variant]}")
         table = "\n".join(lines)
-        (args.out / "ablation.txt").write_text(table + "\n")
-        (args.out / "ablation.csv").write_text(
-            "variant,ca\n" + "\n".join(f"{v},{ca:.6f}" for v, ca in results) + "\n"
-        )
-        print(table)
-    except Exception:
-        moved = _quarantine(args.out)
-        if moved is not None:
-            print(f"partial artifacts quarantined in {moved}", file=sys.stderr)
-        raise
+        _write_text(args.out / "ablation.txt", table + "\n")
+        _write_text(args.out / "ablation.csv",
+                    "variant,ca\n" + "\n".join(f"{v},{ca:.6f}" for v, ca in results) + "\n")
+    print(table)
 
 
 COMMANDS = {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -140,47 +140,19 @@ class NetworkConfig:
     # -- JSON round trip ----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "input_channels": self.input_channels,
-            "stem_channels": self.stem_channels,
-            "stem_kernel": self.stem_kernel,
-            "stem_stride": self.stem_stride,
-            "blocks": [
-                [b.in_channels, b.out_channels, b.stride, b.repeats,
-                 b.expansion_factor, b.dilation]
-                for b in self.blocks
-            ],
-            "mse_taps": list(self.mse_taps) if self.mse_taps is not None else None,
-            "mse_projection_channels": self.mse_projection_channels,
-            "num_classes": self.num_classes,
-            "dilation_enabled": self.dilation_enabled,
-            "mse_enabled": self.mse_enabled,
-            "residual_enabled": self.residual_enabled,
-            "literal_fc_head": self.literal_fc_head,
-            "fc_neurons": self.fc_neurons,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["blocks"] = [astuple(b) for b in self.blocks]
         return json.dumps(doc, indent=2)
 
     @staticmethod
     def from_dict(doc: dict) -> "NetworkConfig":
+        """Fields missing from ``doc`` take their defaults; ``blocks`` is required."""
         try:
-            blocks = tuple(BlockSpec(*row) for row in doc["blocks"])
-            taps = doc.get("mse_taps")
-            return NetworkConfig(
-                input_channels=doc.get("input_channels", 3),
-                stem_channels=doc.get("stem_channels", 32),
-                stem_kernel=doc.get("stem_kernel", 3),
-                stem_stride=doc.get("stem_stride", 2),
-                blocks=blocks,
-                mse_taps=tuple(taps) if taps is not None else None,
-                mse_projection_channels=doc.get("mse_projection_channels", 1280),
-                num_classes=doc.get("num_classes", 9),
-                dilation_enabled=doc.get("dilation_enabled", True),
-                mse_enabled=doc.get("mse_enabled", True),
-                residual_enabled=doc.get("residual_enabled", True),
-                literal_fc_head=doc.get("literal_fc_head", False),
-                fc_neurons=doc.get("fc_neurons", 1280),
-            )
+            values = {f.name: doc[f.name] for f in fields(NetworkConfig) if f.name in doc}
+            values["blocks"] = tuple(BlockSpec(*row) for row in doc["blocks"])
+            if values.get("mse_taps") is not None:
+                values["mse_taps"] = tuple(values["mse_taps"])
+            return NetworkConfig(**values)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed network config: {exc}") from exc
 

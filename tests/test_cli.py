@@ -159,6 +159,37 @@ class TestExitCodes:
         assert out.with_name("doomed.quarantined").exists()
 
 
+class TestRunDirectory:
+    def test_exception_inside_context_quarantines(self, tmp_path, capsys):
+        from dacnet.cli import _run_directory
+        out = tmp_path / "run"
+        for n, target in enumerate(("run.quarantined", "run.quarantined.1")):
+            with pytest.raises(RuntimeError, match="boom"):
+                with _run_directory(out):
+                    (out / "partial.txt").write_text(str(n))
+                    raise RuntimeError("boom")
+            assert not out.exists()
+            assert (tmp_path / target / "partial.txt").read_text() == str(n)
+            assert target in capsys.readouterr().err
+
+    def test_failed_text_write_leaves_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        import os
+        from dacnet import fileio
+        from dacnet.cli import _write_text
+        path = tmp_path / "eval.txt"
+        _write_text(path, "old\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="No space"):
+            _write_text(path, "new and longer\n")
+        monkeypatch.setattr(fileio.os, "replace", os.replace)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.txt"]
+
+
 class TestWorkersBitExact:
     def test_feature_files_identical_across_workers(self, corpus, tmp_path):
         from dacnet.data import FeatureCache, load_manifest

@@ -134,7 +134,7 @@ class TestBackwardAgainstOracle:
         dict(kernel_size=3, mode="standard", padding=2, dilation=2),
     ])
     def test_tap_loop_backward(self, kwargs):
-        """Padded or strided layers keep the per-tap path, <= 1e-12."""
+        """Padded or strided layers take the tap-column path, <= 1e-12."""
         rng = np.random.default_rng(29)
         spec = ConvSpec(in_channels=3, out_channels=4, has_bias=True, **kwargs)
         x = rng.standard_normal((2, 3, 5, 6))
@@ -145,6 +145,41 @@ class TestBackwardAgainstOracle:
         assert np.max(np.abs(gx - want_x)) <= 1e-12
         assert np.max(np.abs(gk - want_k)) <= 1e-12
         assert np.max(np.abs(gb - want_b)) <= 1e-12
+
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kernel_size=3, mode="standard", stride=2, padding=1),  # the stem's shape
+        dict(kernel_size=3, mode="standard", padding=2, dilation=2),
+        dict(kernel_size=1, mode="pointwise", stride=2, padding=1),  # columns, not direct
+    ])
+    def test_column_path_across_sample_blocks(self, monkeypatch, kwargs):
+        """Five samples run as blocks of three and two whole samples, <= 1e-12."""
+        from dacnet import ops
+        rng = np.random.default_rng(43)
+        spec = ConvSpec(in_channels=3, out_channels=4, has_bias=True, **kwargs)
+        ho, wo = spec.output_hw(5, 6)
+        sample_bytes = 8 * 3 * spec.kernel_size ** 2 * ho * wo
+        monkeypatch.setattr(ops, "_BLOCK_BYTES", 2 * sample_bytes)
+        assert ops._row_blocks(5, sample_bytes)[1] == [(0, 3), (3, 5)]
+
+        x = rng.standard_normal((5, 3, 5, 6))
+        kernel = rng.standard_normal(spec.kernel_shape())
+        bias = rng.standard_normal(4)
+        want = conv2d_reference(x, kernel, bias, mode=spec.mode, stride=spec.stride,
+                                padding=spec.pad, dilation=spec.dilation)
+        got = conv2d_forward(x, kernel, bias, spec)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+        gout = rng.standard_normal(got.shape)
+        want_x, want_k, want_b = oracle_gradients(gout, x, kernel, spec)
+        gx, gk, gb = conv2d_backward(gout, x, kernel, spec, need_bias_grad=True)
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+        assert np.max(np.abs(gx - want_x)) <= 1e-12
+        assert np.max(np.abs(gk - want_k)) <= 1e-12
+        assert np.max(np.abs(gb - want_b)) <= 1e-12
+        gx, gk_only, _ = conv2d_backward(gout, x, kernel, spec, need_input_grad=False)
+        assert gx is None
+        assert np.max(np.abs(gk_only - want_k)) <= 1e-12
 
 
 class TestDegenerationsAndInvariants:

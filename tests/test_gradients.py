@@ -103,6 +103,46 @@ class TestBatchNorm:
         assert np.array_equal(out[:, 0], np.full((2, 4, 4), -1.0))
         assert np.array_equal(out[:, 1], np.full((2, 4, 4), 0.5))
 
+    def test_large_mean_matches_two_pass_reference(self):
+        """mean/std ~ 1e3: output, dx and dgamma within 1e-9 of a two-pass float64 reference."""
+        rng = np.random.default_rng(15)
+        x = 1e3 + rng.standard_normal((4, 3, 6, 7)) * rng.uniform(0.5, 2.0, (1, 3, 1, 1))
+        gamma = rng.uniform(0.5, 1.5, 3)
+        beta = rng.standard_normal(3)
+        g = rng.standard_normal(x.shape)
+        out, cache = ops.batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        dx, dgamma, dbeta = ops.batchnorm_backward(g, cache)
+
+        n = x.size // 3
+        centered = x - x.mean(axis=(0, 2, 3), keepdims=True)
+        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=(0, 2, 3), keepdims=True) + 1e-5)
+        xhat = centered * inv_std
+        want_out = xhat * gamma.reshape(1, 3, 1, 1) + beta.reshape(1, 3, 1, 1)
+        want_dbeta = g.sum(axis=(0, 2, 3))
+        want_dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        want_dx = (gamma.reshape(1, 3, 1, 1) * inv_std / n) * (
+            n * g - want_dbeta.reshape(1, 3, 1, 1) - xhat * want_dgamma.reshape(1, 3, 1, 1)
+        )
+        for got, want in ((out, want_out), (dx, want_dx), (dgamma, want_dgamma),
+                          (dbeta, want_dbeta)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_constant_channel_negative_rounding_stays_finite(self):
+        """E[x^2] - mean^2 rounds below -eps on a constant channel; the clamp keeps it finite."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((4, 2, 6, 7))
+        x[:, 1] = 987654.321
+        mean = x.mean(axis=(0, 2, 3))
+        one_pass = np.einsum("bchw,bchw->c", x, x) / (4 * 6 * 7) - mean * mean
+        assert one_pass[1] < -1e-5
+        gamma, beta = np.array([1.0, 2.0]), np.array([0.0, 0.5])
+        with np.errstate(invalid="raise"):
+            out, cache = ops.batchnorm_forward(x, gamma, beta, np.zeros(2), np.ones(2),
+                                               training=True, relu=True)
+            grads = ops.batchnorm_backward(rng.standard_normal(x.shape), cache)
+        assert np.isfinite(out).all()
+        assert all(np.isfinite(grad).all() for grad in grads)
+
     def test_eval_mode_matches_hand_recomputation(self):
         from oracles import batchnorm_eval_reference
         rng = np.random.default_rng(10)

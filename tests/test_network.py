@@ -83,6 +83,23 @@ class TestConstruction:
         config = load_preset("reference").network
         assert NetworkConfig.from_json(config.to_json()) == config
 
+    @pytest.mark.parametrize("preset", ["toy", "reference"])
+    def test_config_json_bytes_match_preset(self, preset):
+        """Checkpoint config blobs are the preset's network section, byte for byte."""
+        import json
+        from dacnet.presets import preset_dict
+        doc = preset_dict(preset)["network"]
+        assert NetworkConfig.from_dict(doc).to_json() == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("doc", [
+        {},  # no blocks
+        {"blocks": [[8, 8, 1, 1, 2, 2, 9, 9]]},  # a block row with too many fields
+        ["blocks"],  # a JSON list where an object belongs
+    ])
+    def test_malformed_config_dict_raises_config_error(self, doc):
+        with pytest.raises(ConfigError, match="malformed network config"):
+            NetworkConfig.from_dict(doc)
+
 
 class TestForward:
     def test_logits_shape_and_softmax_rows(self):
