@@ -167,15 +167,17 @@ def _write_text(path: Path, text: str) -> None:
     write_atomic(path, [text.encode()])
 
 
-def _load_features(args, run, splits):
+def _load_features(args, run, required, optional=()):
+    """(features, labels) per split, after filling the feature cache.
+
+    Each ``required`` split must have rows, or ``load_split`` raises
+    ``DataError``; each ``optional`` split is loaded only if it has rows.
+    """
     manifest = load_manifest(args.data / "manifest.csv")
     cache = FeatureCache(_cache_root(args, args.data), run.frontend)
     cache.ensure(manifest, workers=args.workers)
-    out = {}
-    for split in splits:
-        if manifest.split(split):
-            out[split] = cache.load_split(manifest, split)
-    return manifest, out
+    return {split: cache.load_split(manifest, split) for split in (*required, *optional)
+            if split in required or manifest.split(split)}
 
 
 def _train_one(run, data, seed, out_dir: Path, log_lines: list[str], max_epochs=None):
@@ -241,7 +243,7 @@ def cmd_features(args) -> None:
 def cmd_train(args) -> None:
     run = _resolve(args)
     with _run_directory(args.out):
-        _, data = _load_features(args, run, ("train", "validation"))
+        data = _load_features(args, run, ("train",), ("validation",))
         _write_text(args.out / "config.json", run.to_json() + "\n")
         model, history, best = _train_one(
             run, data, args.seed, args.out, [], max_epochs=args.max_epochs
@@ -260,10 +262,7 @@ def cmd_eval(args) -> None:
     run = _resolve(args)
     with _run_directory(args.out):
         model = Model.load(args.model)
-        manifest = load_manifest(args.data / "manifest.csv")
-        cache = FeatureCache(_cache_root(args, args.data), run.frontend)
-        cache.ensure(manifest, workers=args.workers)
-        features, labels = cache.load_split(manifest, args.split)
+        features, labels = _load_features(args, run, (args.split,))[args.split]
         ca, matrix = evaluate(model, features, labels, workers=args.workers)
         _write_text(args.out / "config.json", run.to_json() + "\n")
         _write_text(args.out / "confusion.csv", matrix.to_csv(LABELS))
@@ -313,9 +312,7 @@ def cmd_analyze(args) -> None:
 def cmd_ablate(args) -> None:
     run = _resolve(args)
     with _run_directory(args.out):
-        _, data = _load_features(args, run, ("train", "validation", "test"))
-        if "test" not in data:
-            raise DataError("ablation needs a test split")
+        data = _load_features(args, run, ("train", "test"), ("validation",))
         _write_text(args.out / "config.json", run.to_json() + "\n")
         xte, yte = data["test"]
         results = []

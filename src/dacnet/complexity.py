@@ -35,12 +35,10 @@ from .ops import ConvSpec
 
 
 def layer_params(spec: ConvSpec) -> int:
-    """Trainable scalars of one convolution layer."""
+    """Trainable scalars of one convolution layer (a pointwise layer has K = 1)."""
     k2 = spec.kernel_size ** 2
     if spec.mode == "depthwise":
         count = k2 * spec.in_channels
-    elif spec.mode == "pointwise":
-        count = spec.in_channels * spec.out_channels
     else:
         count = k2 * spec.in_channels * spec.out_channels
     if spec.has_bias:
@@ -49,14 +47,12 @@ def layer_params(spec: ConvSpec) -> int:
 
 
 def layer_macs(spec: ConvSpec, output_shape: tuple[int, int]) -> int:
-    """Multiply-accumulates of one convolution at the given output size."""
+    """Multiply-accumulates of one convolution at the given output size (pointwise: K = 1)."""
     ho, wo = output_shape
     positions = ho * wo
     k2 = spec.kernel_size ** 2
     if spec.mode == "depthwise":
         return k2 * spec.in_channels * positions
-    if spec.mode == "pointwise":
-        return spec.out_channels * spec.in_channels * positions
     return k2 * spec.out_channels * spec.in_channels * positions
 
 
@@ -161,13 +157,12 @@ def analyze_network(
         )
     report = ComplexityReport()
 
-    def conv_row(name: str, spec: ConvSpec, h: int, w: int, bn: bool = True):
+    def conv_row(name: str, spec: ConvSpec, h: int, w: int):
         ho, wo = spec.output_hw(h, w)
         report.add(name, "conv", layer_params(spec), layer_macs(spec, (ho, wo)),
                    (spec.out_channels, ho, wo))
-        if bn:
-            report.add(f"{name}.bn", "bn", bn_params(spec.out_channels), 0,
-                       (spec.out_channels, ho, wo))
+        report.add(f"{name}.bn", "bn", bn_params(spec.out_channels), 0,
+                   (spec.out_channels, ho, wo))
         return ho, wo
 
     h, w = conv_row("stem", stem_conv_spec(config), h, w)

@@ -13,11 +13,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import ops
 from .errors import ConfigError
 from .frontend import FrontendConfig, compute_features, mel_filterbank
 from .network import Model, NetworkConfig, build_network
 from .presets import load_preset
-from .training import TrainConfig, evaluate, train
+from .training import TrainConfig, evaluate, predict_batches, train
 from .validation import check_feature_array, check_labels, check_waveforms
 
 
@@ -140,12 +141,7 @@ class DacNetClassifier(BaseEstimator):
     def predict_proba(self, X) -> np.ndarray:
         model = self._check_fitted()
         X = check_feature_array(X, model.config.input_channels)
-        logits = np.concatenate([
-            model.predict_logits(X[i:i + 32]) for i in range(0, len(X), 32)
-        ])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
+        return np.exp(ops.log_softmax(predict_batches(model, X, workers=self.workers)))
 
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)

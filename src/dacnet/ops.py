@@ -15,10 +15,9 @@ A standard layer (and a pointwise layer with a stride or padding) is one
 matrix product per block of whole samples: the block's ``C_in*k*k`` tap
 columns, unfolded as for a depthwise layer below, times the kernel flattened
 to ``(C_out, C_in*k*k)`` (im2col). Its backward pass unfolds the columns
-again, block by block, for the kernel gradient, and folds the kernel's
-transpose times the output gradient back onto the input. A pointwise layer
-at stride 1 without padding reads its input as the one and only tap window,
-so it copies no columns: forward and backward are plain matrix products.
+again, block by block, for the kernel gradient. A pointwise layer at stride 1
+without padding reads its input as the one and only tap window, so it copies
+no columns: forward and backward are plain matrix products.
 
 A depthwise layer views the activation as ``B*C`` independent rows of shape
 ``(H, W)``, each with its own k*k taps, and works on one block of rows at a
@@ -28,15 +27,19 @@ the rows' taps in one batched product (one BLAS matrix-vector product per
 row). The buffer is allocated per call and reused across blocks. Only the
 window parts inside the unpadded input are ever copied, so the buffer's zero
 border, written once, stands for the padding and no padded copy of the input
-is made. When the stride divides the dilation (every stride-1 layer, and
-every depthwise layer of the presets), only one phase of the input receives
-gradient and the layer is a stride-1 layer on that phase
-(:func:`_phase_split`). Its backward pass takes both gradients from one
-column buffer of the output gradient: the input gradient is the taps rotated
-180 degrees times those columns (a gather), the kernel gradient those columns
-times the input. Other depthwise layers take the kernel gradient from the
-input's columns and fold an outer product of taps and output gradient back
-onto the input.
+is made.
+
+Every input gradient, and the kernel gradient of a depthwise layer, is a
+gather (polyphase decomposition): the taps of a stride-s layer that read the
+same input phase ``x[..., ph::s, pw::s]`` form a stride-1 layer on that phase
+(:func:`_phases`), and the phase's input gradient is that layer's sub-kernel
+rotated 180 degrees times the columns of the output gradient. A stride-1
+layer is its own single phase, as is every layer whose stride divides its
+dilation (every depthwise layer of the presets, but not of their ``no_dco``
+ablation). A depthwise layer takes the kernel gradient of each phase's taps
+from the same columns times the input phase; a standard layer takes its
+kernel gradient from the input's columns. No gradient is scattered back with
+strided adds.
 
 Batch normalization is one per-channel scale and shift of its input in both
 modes; training mode takes the mean and variance from two reductions over
@@ -52,6 +55,7 @@ innermost active :class:`~dacnet.tensor.GradientTape`.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -263,16 +267,11 @@ def conv2d_backward(
     # which would hold a k*k-fold copy of the input for the whole step.
     flat_kernel = kernel.reshape(spec.out_channels, -1)
     kernel_grad = np.zeros_like(flat_kernel)
-    input_grad = np.zeros((b * ci, h, w), dtype=DTYPE) if need_input_grad else None
     columns, rows, blocks = _sample_blocks(x, spec, ho, wo)
     for s0, s1 in blocks:
-        g = gout_flat[s0:s1]
         cols = columns.unfold(rows[s0 * ci:s1 * ci]).reshape(s1 - s0, flat_kernel.shape[1], -1)
-        kernel_grad += _kernel_tap_grad(g, cols)
-        if need_input_grad:
-            columns.fold(np.matmul(flat_kernel.T, g), input_grad[s0 * ci:s1 * ci])
-    if input_grad is not None:
-        input_grad = input_grad.reshape(x.shape)
+        kernel_grad += _kernel_tap_grad(gout_flat[s0:s1], cols)
+    input_grad = _standard_input_grad(output_grad, kernel, spec, h, w) if need_input_grad else None
     return input_grad, kernel_grad.reshape(kernel.shape), bias_grad
 
 
@@ -293,13 +292,37 @@ def _sample_blocks(x: np.ndarray, spec: ConvSpec, ho: int, wo: int):
     b, ci, h, w = x.shape
     k = spec.kernel_size
     step, blocks = _row_blocks(b, 8 * ci * k * k * ho * wo)
-    columns = _Columns(step * ci, k, spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
+    columns = _Columns(step * ci, (k, k), spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
     return columns, x.reshape(b * ci, h, w), blocks
 
 
 def _kernel_tap_grad(gout_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Kernel gradient from columns: sum over the batch of gout @ cols^T."""
     return np.matmul(gout_flat, cols.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _standard_input_grad(output_grad: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
+                         h: int, w: int) -> np.ndarray:
+    """Input gradient of a standard or pointwise layer, one input phase at a time:
+    per block of whole samples, the phase's sub-kernel rotated 180 degrees with
+    its channels swapped, (C_in, C_out*kh*kw), times the output gradient's columns."""
+    b, co, ho, wo = output_grad.shape
+    ci, s = spec.in_channels, spec.stride
+    g_rows = output_grad.reshape(b * co, ho, wo)
+    d, phases = _phases(spec)
+    input_grad = _phase_array((b, ci, h, w), s, len(phases))
+    for (th, tw), (ph, pw), pad in phases:
+        sub = kernel[:, :, th, tw]
+        kh, kw = sub.shape[2:]
+        rotated = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+        phase = input_grad[:, :, ph::s, pw::s]
+        hp, wp = phase.shape[2:]
+        step, blocks = _row_blocks(b, 8 * co * kh * kw * hp * wp)
+        columns = _gradient_columns(step * co, (kh, kw), d, pad, (ho, wo), (hp, wp))
+        for s0, s1 in blocks:
+            cols = columns.unfold(g_rows[s0 * co:s1 * co]).reshape(s1 - s0, co * kh * kw, -1)
+            _product_into(phase[s0:s1], rotated, cols)
+    return input_grad
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +351,8 @@ def _row_blocks(rows: int, row_bytes: int) -> tuple[int, list[tuple[int, int]]]:
 def _tap_slices(k: int, d: int, s: int, pad: int, size: int,
                 out_size: int) -> list[tuple[slice, slice]]:
     """Per tap along one axis: (output slice, input slice) of the outputs
-    whose tap reads inside the unpadded axis; the others read zero padding."""
+    whose tap reads inside the unpadded axis; the others read zero padding.
+    ``pad`` may be negative: the first tap then starts inside the axis."""
     slices = []
     for t in range(k):
         offset = t * d - pad
@@ -342,39 +366,77 @@ def _tap_slices(k: int, d: int, s: int, pad: int, size: int,
 
 
 class _Columns:
-    """A reused column buffer for one layer geometry, (step, k*k, Ho, Wo), over rows.
+    """A reused column buffer for one layer geometry, (step, kh*kw, Ho, Wo), over rows.
 
-    ``unfold`` copies each tap's window of a block of rows into its column
-    and ``fold`` adds the columns back onto the rows (its adjoint). Only the
-    parts of the windows that lie inside the unpadded rows are ever copied,
-    so the buffer's zero border, written once, stands for the padding.
+    ``unfold`` copies each tap's window of a block of rows into its column.
+    Only the parts of the windows that lie inside the unpadded rows are ever
+    copied, so the buffer's zero border, written once, stands for the padding.
     """
 
-    def __init__(self, step: int, k: int, d: int, s: int, pad: tuple[int, int],
+    def __init__(self, step: int, taps: tuple[int, int], d: int, s: int, pad: tuple[int, int],
                  hw: tuple[int, int], out_hw: tuple[int, int]):
-        self.buf = np.zeros((step, k * k, *out_hw), dtype=DTYPE)
-        rows, cols = (_tap_slices(k, d, s, p, n, m) for p, n, m in zip(pad, hw, out_hw))
-        self.taps = [(kh * k + kw, oh, ow, ih, iw)
-                     for kh, (oh, ih) in enumerate(rows) for kw, (ow, iw) in enumerate(cols)]
+        kh, kw = taps
+        self.buf = np.zeros((step, kh * kw, *out_hw), dtype=DTYPE)
+        rows, cols = (_tap_slices(k, d, s, p, n, m)
+                      for k, p, n, m in zip(taps, pad, hw, out_hw))
+        self.taps = [(th * kw + tw, oh, ow, ih, iw)
+                     for th, (oh, ih) in enumerate(rows) for tw, (ow, iw) in enumerate(cols)]
 
     def unfold(self, rows: np.ndarray) -> np.ndarray:
-        """The block's columns as (rows, k*k, Ho*Wo): one per output and tap."""
+        """The block's columns as (rows, kh*kw, Ho*Wo): one per output and tap."""
         cols = self.buf[:len(rows)]
         for t, oh, ow, ih, iw in self.taps:
             cols[:, t, oh, ow] = rows[:, ih, iw]
         return cols.reshape(len(rows), cols.shape[1], -1)
 
-    def fold(self, cols: np.ndarray, rows: np.ndarray) -> None:
-        """``rows += `` the adjoint of :meth:`unfold` applied to ``cols``."""
-        cols = cols.reshape(len(rows), *self.buf.shape[1:])
-        for t, oh, ow, ih, iw in self.taps:
-            rows[:, ih, iw] += cols[:, t, oh, ow]
+
+def _gradient_columns(step: int, taps: tuple[int, int], d: int, pad: tuple[int, int],
+                      g_hw: tuple[int, int], hw: tuple[int, int]) -> _Columns:
+    """Output-gradient columns of a stride-1 layer, one per input position and tap.
+
+    The gradient is padded by ``d*(k-1) - pad`` (cropped where negative), so
+    column tap t meets the layer's tap ``kh*kw-1-t``: sum_p g[p] x[p+o] =
+    sum_q x[q] g[q-o].
+    """
+    g_pad = tuple(d * (k - 1) - p for k, p in zip(taps, pad))
+    return _Columns(step, taps, d, 1, g_pad, g_hw, hw)
+
+
+def _phases(spec: ConvSpec):
+    """The stride-1 layers that a layer splits into, one per live input phase.
+
+    Along an axis, tap t reads inputs in phase ``(t*d - pad) % s``, and with
+    ``g = gcd(s, d)`` the taps ``t0, t0 + s/g, ...`` share one. On that phase
+    they form a stride-1 layer at dilation d/g with left padding
+    ``-((t0*d - pad) // s)``. Phases no tap reads get no gradient; a layer
+    whose stride divides its dilation has one phase. Returns ``(d // g,
+    [((taps_h, taps_w), (ph, pw), (pad_h, pad_w)), ...])``, the taps as slices.
+    """
+    s, d = spec.stride, spec.dilation
+    g = math.gcd(s, d)
+    axes = [[(slice(t0, None, s // g), (t0 * d - pad) % s, -((t0 * d - pad) // s))
+             for t0 in range(min(spec.kernel_size, s // g))] for pad in spec.pad]
+    return d // g, [((th, tw), (ph, pw), (pad_h, pad_w))
+                    for th, ph, pad_h in axes[0] for tw, pw, pad_w in axes[1]]
+
+
+def _phase_array(shape: tuple[int, ...], s: int, live: int) -> np.ndarray:
+    """An input gradient that ``live`` phases fill: zeroed unless all s*s are live."""
+    return np.empty(shape, dtype=DTYPE) if live == s * s else np.zeros(shape, dtype=DTYPE)
+
+
+def _product_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """``out = a @ b`` with ``out``'s last two axes flat: in place where ``out`` is
+    contiguous (stride 1), through a block-sized temporary into a strided phase."""
+    if out.flags.c_contiguous:
+        np.matmul(a, b, out=out.reshape(*out.shape[:-2], -1))
+    else:
+        out[...] = np.matmul(a, b).reshape(out.shape)
 
 
 def _row_taps(kernel: np.ndarray, batch: int) -> np.ndarray:
-    """Kernel taps per (sample, channel) row: shape (batch * C, k * k)."""
-    c, _, k, _ = kernel.shape
-    return np.tile(kernel.reshape(c, k * k), (batch, 1))
+    """Kernel taps per (sample, channel) row: shape (batch * C, kh * kw)."""
+    return np.tile(kernel.reshape(kernel.shape[0], -1), (batch, 1))
 
 
 def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
@@ -385,31 +447,11 @@ def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
     taps = _row_taps(kernel, b)[:, None, :]
     out = np.empty((n, 1, ho * wo), dtype=DTYPE)
     step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
-    columns = _Columns(step, k, spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
+    columns = _Columns(step, (k, k), spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
     for r0, r1 in blocks:
         np.matmul(taps[r0:r1], columns.unfold(x_rows[r0:r1]), out=out[r0:r1])
     _tally(k * k * out.size)
     return out.reshape(b, c, ho, wo)
-
-
-def _phase_split(spec: ConvSpec):
-    """The stride-1 layer that a depthwise layer equals on its one live input phase.
-
-    When the stride s divides the dilation d, every tap of every output reads
-    input positions congruent to ``-pad`` modulo s, so the layer is a
-    stride-1 layer at dilation d/s over ``x[..., fh::s, fw::s]`` with
-    ``fh = -pad_h % s`` and ``fw = -pad_w % s``, and no other input position
-    receives gradient. Returns ``((fh, fw), (pad_h, pad_w), d // s)``, the
-    phase and the left padding and dilation of that layer (its right padding
-    follows from the output size), or None when s does not divide d. At
-    stride 1 the layer is its own phase.
-    """
-    s = spec.stride
-    if spec.dilation % s:
-        return None
-    phases = tuple(-pad % s for pad in spec.pad)
-    pads = tuple((pad + phase) // s for pad, phase in zip(spec.pad, phases))
-    return phases, pads, spec.dilation // s
 
 
 def _depthwise_backward(
@@ -419,92 +461,53 @@ def _depthwise_backward(
     spec: ConvSpec,
     need_input_grad: bool,
 ) -> tuple[Optional[np.ndarray], np.ndarray]:
-    """Input and kernel gradients of a depthwise layer, block by block.
+    """Input and kernel gradients of a depthwise layer, one input phase at a time.
 
-    A layer that :func:`_phase_split` reduces to a stride-1 layer on its live
-    input phase takes both gradients from one column buffer of the output
-    gradient (:func:`_gather_backward`); at stride > 1 its input gradient is
-    written to that phase of a zeroed array. Other layers go through
-    :func:`_scatter_backward`.
+    Each phase of :func:`_phases` is a stride-1 layer over its slice of the
+    taps, whose two gradients :func:`_gather_backward` takes together.
     """
     b, c, h, w = x.shape
-    k, s, n = spec.kernel_size, spec.stride, b * c
+    s, n = spec.stride, b * c
     x_rows = x.reshape(n, h, w)
     g_rows = output_grad.reshape(n, *output_grad.shape[2:])
-    taps = _row_taps(kernel, b)
-    split = _phase_split(spec)
-    if split is None:
-        input_grad, tap_grads = _scatter_backward(g_rows, x_rows, taps, spec, need_input_grad)
-    else:
-        (fh, fw), pad, m = split
-        input_grad, tap_grads = _gather_backward(
-            g_rows, x_rows[:, fh::s, fw::s], taps, k, m, pad, need_input_grad
+    d, phases = _phases(spec)
+    kernel_grad = np.empty_like(kernel)
+    input_grad = _phase_array((n, 1, h, w), s, len(phases)) if need_input_grad else None
+    for (th, tw), (ph, pw), pad in phases:
+        sub = kernel[:, :, th, tw]
+        tap_grads = _gather_backward(
+            g_rows, x_rows[:, ph::s, pw::s], _row_taps(sub, b), sub.shape[2:], d, pad,
+            None if input_grad is None else input_grad[:, :, ph::s, pw::s],
         )
-        if input_grad is not None and s > 1:
-            live, input_grad = input_grad, np.zeros((n, h, w), dtype=DTYPE)
-            input_grad[:, fh::s, fw::s] = live
-    kernel_grad = tap_grads.reshape(b, c, k * k).sum(axis=0).reshape(kernel.shape)
+        kernel_grad[:, :, th, tw] = tap_grads.reshape(b, *sub.shape).sum(axis=0)
     if input_grad is not None:
         input_grad = input_grad.reshape(x.shape)
     return input_grad, kernel_grad
 
 
-def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray, k: int, d: int,
-                     pad: tuple[int, int], need_input_grad: bool):
+def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
+                     tap_hw: tuple[int, int], d: int, pad: tuple[int, int],
+                     input_grad: Optional[np.ndarray]) -> np.ndarray:
     """Gradients of a stride-1 depthwise layer from one column buffer per block.
 
-    The output gradient padded by ``d*(k-1) - pad`` (cropped where that is
-    negative) and unfolded at dilation d has one column per input position
-    and tap, ``cols[r, t]``. The input
-    gradient is the taps rotated 180 degrees times those columns, and the
-    kernel gradient of tap ``k*k-1-t`` is ``cols[r, t] . x[r]``, by the
-    correlation identity sum_p g[p] x[p+o] = sum_q x[q] g[q-o].
+    With ``cols`` the output gradient's columns (:func:`_gradient_columns`),
+    ``input_grad`` (rows, 1, H, W), if given, gets the rows' ``tap_hw`` taps
+    rotated 180 degrees times ``cols``; returns the kernel gradient per row,
+    whose tap ``kh*kw-1-t`` is ``cols[r, t] . x[r]``.
     """
     n, ho, wo = g_rows.shape
     _, h, w = x_rows.shape
-    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
-    g_pad = (d * (k - 1) - pad[0], d * (k - 1) - pad[1])
-    columns = _Columns(step, k, d, 1, g_pad, (ho, wo), (h, w))
+    kk = taps.shape[1]
+    step, blocks = _row_blocks(n, 8 * kk * h * w)
+    columns = _gradient_columns(step, tap_hw, d, pad, (ho, wo), (h, w))
     rotated = np.ascontiguousarray(taps[:, None, ::-1])
-    tap_grads = np.empty((n, k * k, 1), dtype=DTYPE)
-    input_grad = np.empty((n, 1, h * w), dtype=DTYPE) if need_input_grad else None
+    tap_grads = np.empty((n, kk, 1), dtype=DTYPE)
     for r0, r1 in blocks:
         cols = columns.unfold(g_rows[r0:r1])
         np.matmul(cols, x_rows[r0:r1].reshape(r1 - r0, h * w, 1), out=tap_grads[r0:r1])
-        if need_input_grad:
-            np.matmul(rotated[r0:r1], cols, out=input_grad[r0:r1])
-    if input_grad is not None:
-        input_grad = input_grad.reshape(n, h, w)
-    return input_grad, tap_grads[:, ::-1, 0]
-
-
-def _scatter_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
-                      spec: ConvSpec, need_input_grad: bool):
-    """Gradients of any depthwise layer, block by block.
-
-    The kernel gradient is the input's columns times the output gradient.
-    The input gradient folds the outer product of taps and output gradient
-    back onto the input (an elementwise product: as a matmul with an inner
-    dimension of 1 it took twice as long).
-    """
-    n, ho, wo = g_rows.shape
-    _, h, w = x_rows.shape
-    k = spec.kernel_size
-    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
-    columns = _Columns(step, k, spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
-    tap_grads = np.empty((n, k * k, 1), dtype=DTYPE)
-    input_grad = None
-    if need_input_grad:
-        input_grad = np.zeros((n, h, w), dtype=DTYPE)
-        outer = np.empty((step, k * k, ho * wo), dtype=DTYPE)
-        tap_cols = taps[:, :, None]
-    for r0, r1 in blocks:
-        g = g_rows[r0:r1].reshape(r1 - r0, ho * wo, 1)
-        np.matmul(columns.unfold(x_rows[r0:r1]), g, out=tap_grads[r0:r1])
-        if need_input_grad:
-            cols = np.multiply(tap_cols[r0:r1], g.reshape(r1 - r0, 1, ho * wo), out=outer[:r1 - r0])
-            columns.fold(cols, input_grad[r0:r1])
-    return input_grad, tap_grads[:, :, 0]
+        if input_grad is not None:
+            _product_into(input_grad[r0:r1], rotated[r0:r1], cols)
+    return tap_grads[:, ::-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +616,14 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]
     return out
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of 2-D logits, stabilized by subtracting each row's maximum."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def softmax_cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy with max-subtraction stabilization.
+    """Mean cross-entropy over :func:`log_softmax`.
 
     Returns ``(loss, probs)``; the gradient of ``loss`` with respect to the
     logits is ``(probs - onehot) / batch``.
@@ -628,9 +637,7 @@ def softmax_cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
     if labels.min() < 0 or labels.max() >= c:
         bad = int(labels[(labels < 0) | (labels >= c)][0])
         raise ConfigError(f"label {bad} outside [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_norm
+    log_probs = log_softmax(logits)
     loss = -log_probs[np.arange(b), labels].mean()
     return loss, np.exp(log_probs)
 

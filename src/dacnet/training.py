@@ -160,6 +160,14 @@ class ConfusionMatrix:
         return "\n".join(lines) + "\n"
 
 
+def predict_batches(model: Model, features: np.ndarray, batch_size: int = 32,
+                    workers: int = 1) -> np.ndarray:
+    """Logits of every segment in batches fixed by ``batch_size`` alone, run on
+    ``workers`` threads, so they are identical for any worker count."""
+    chunks = [features[i:i + batch_size] for i in range(0, len(features), batch_size)]
+    return np.concatenate(parallel_map(model.predict_logits, chunks, workers))
+
+
 def evaluate(
     model: Model,
     features: np.ndarray,
@@ -171,9 +179,8 @@ def evaluate(
     """Classification accuracy and confusion matrix over a dataset.
 
     Each segment is an independent sample; predictions are the per-segment
-    argmax of the logits with ties broken toward the lowest class index.
-    Batch boundaries are fixed by ``batch_size`` regardless of ``workers``,
-    so results are identical for any worker count.
+    argmax of the logits (:func:`predict_batches`) with ties broken toward
+    the lowest class index, so results are identical for any worker count.
     """
     if len(features) == 0:
         raise DataError("cannot evaluate an empty dataset")
@@ -183,11 +190,7 @@ def evaluate(
     outside = (labels < 0) | (labels >= num_classes)
     if outside.any():
         raise DataError(f"label {int(labels[outside][0])} outside [0, {num_classes})")
-    chunks = [features[i:i + batch_size] for i in range(0, len(features), batch_size)]
-    preds_parts = parallel_map(
-        lambda chunk: model.predict_logits(chunk).argmax(axis=1), chunks, workers
-    )
-    predictions = np.concatenate(preds_parts)
+    predictions = predict_batches(model, features, batch_size, workers).argmax(axis=1)
     matrix = ConfusionMatrix.from_predictions(labels, predictions, num_classes)
     ca = matrix.accuracy()
     return ca, matrix

@@ -53,6 +53,33 @@ def conv2d_reference(x, kernel, bias, *, mode, stride=1, padding=(0, 0), dilatio
     return out
 
 
+def oracle_gradients(gout, x, kernel, spec):
+    """Gradients of <gout, conv(x, kernel) + bias> from the nested-loop oracle.
+
+    The layer is linear in each of x, kernel and bias, so each gradient
+    coordinate is the oracle's response to a unit basis tensor, dotted with
+    gout.
+    """
+    def response(x_, k_, b_):
+        out = conv2d_reference(x_, k_, b_, mode=spec.mode, stride=spec.stride,
+                               padding=spec.pad, dilation=spec.dilation)
+        return float(np.sum(out * gout))
+
+    def basis_grad(shape, probe):
+        grad = np.zeros(shape)
+        for idx in np.ndindex(*shape):
+            unit = np.zeros(shape)
+            unit[idx] = 1.0
+            grad[idx] = probe(unit)
+        return grad
+
+    gx = basis_grad(x.shape, lambda u: response(u, kernel, None))
+    gk = basis_grad(kernel.shape, lambda u: response(x, u, None))
+    zero = np.zeros_like(x)
+    gb = basis_grad((spec.out_channels,), lambda u: response(zero, kernel, u))
+    return gx, gk, gb
+
+
 def delta_reference(static, window):
     """Regression deltas over +/-window frames with edge replication.
 

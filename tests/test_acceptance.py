@@ -259,6 +259,7 @@ class TestCriterion4ReferenceFootprint:
 
 
 class TestCriterion5ToyEndToEnd:
+    @pytest.mark.slow
     def test_toy_end_to_end_with_ablations(self, corpus, tmp_path):
         with criterion(5, "synthetic 9-class corpus: full model reaches test CA "
                           ">= 0.90 within 30 epochs in < 15 min; ablation "

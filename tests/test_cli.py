@@ -141,6 +141,38 @@ class TestExitCodes:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def test_only_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("test_only") / "corpus"
+        rc = main(["synth-data", "--out", str(root), "--train-per-class", "0",
+                   "--val-per-class", "0", "--test-per-class", "1", "--seed", "2"])
+        assert rc == 0
+        return root
+
+    @staticmethod
+    def assert_data_error(rc, capsys, out, split):
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"data error: manifest has no rows in split {split!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists() and out.with_name(out.name + ".quarantined").exists()
+
+    @pytest.mark.parametrize("split", ["train", "validation"])
+    def test_eval_on_empty_split_is_3(self, corpus, test_only_corpus, tmp_path, capsys, split):
+        run = tmp_path / "run"
+        rc = main(["train", "--data", str(corpus), "--out", str(run), "--max-epochs", "0", *FAST])
+        assert rc == 0
+        capsys.readouterr()
+        ev = tmp_path / "eval"
+        rc = main(["eval", "--model", str(run / "checkpoint_last.dacm"),
+                   "--data", str(test_only_corpus), "--split", split, "--out", str(ev), *FAST])
+        self.assert_data_error(rc, capsys, ev, split)
+
+    def test_train_without_train_split_is_3(self, test_only_corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train", "--data", str(test_only_corpus), "--out", str(out), *FAST])
+        self.assert_data_error(rc, capsys, out, "train")
+
     def test_nonempty_out_dir_is_2(self, corpus, tmp_path, capsys):
         out = tmp_path / "occupied"
         out.mkdir()

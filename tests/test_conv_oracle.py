@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dacnet import ConvSpec, ShapeError, conv2d_backward, conv2d_forward
-from oracles import conv2d_reference
+from oracles import conv2d_reference, oracle_gradients
 
 
 def random_case(rng, mode, dilation, stride):
@@ -75,33 +75,6 @@ class TestAgainstOracle:
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def oracle_gradients(gout, x, kernel, spec):
-    """Gradients of <gout, conv(x, kernel) + bias> from the nested-loop oracle.
-
-    The layer is linear in each of x, kernel and bias, so each gradient
-    coordinate is the oracle's response to a unit basis tensor, dotted with
-    gout.
-    """
-    def response(x_, k_, b_):
-        out = conv2d_reference(x_, k_, b_, mode=spec.mode, stride=spec.stride,
-                               padding=spec.pad, dilation=spec.dilation)
-        return float(np.sum(out * gout))
-
-    def basis_grad(shape, probe):
-        grad = np.zeros(shape)
-        for idx in np.ndindex(*shape):
-            unit = np.zeros(shape)
-            unit[idx] = 1.0
-            grad[idx] = probe(unit)
-        return grad
-
-    gx = basis_grad(x.shape, lambda u: response(u, kernel, None))
-    gk = basis_grad(kernel.shape, lambda u: response(x, u, None))
-    zero = np.zeros_like(x)
-    gb = basis_grad((spec.out_channels,), lambda u: response(zero, kernel, u))
-    return gx, gk, gb
-
-
 class TestBackwardAgainstOracle:
     @pytest.mark.parametrize("need_input_grad", [True, False])
     @pytest.mark.parametrize("has_bias", [True, False])
@@ -151,6 +124,8 @@ class TestBackwardAgainstOracle:
         dict(kernel_size=3, mode="standard", stride=2, padding=1),  # the stem's shape
         dict(kernel_size=3, mode="standard", padding=2, dilation=2),
         dict(kernel_size=1, mode="pointwise", stride=2, padding=1),  # columns, not direct
+        # nine input phases with 2x2, 2x1, 1x2 and 1x1 sub-kernels
+        dict(kernel_size=5, mode="standard", stride=3, padding=3, dilation=2),
     ])
     def test_column_path_across_sample_blocks(self, monkeypatch, kwargs):
         """Five samples run as blocks of three and two whole samples, <= 1e-12."""
@@ -283,6 +258,25 @@ class TestRejections:
             ConvSpec(3, 4, 8, mode="pointwise")
 
 
+def assert_phase_rule(spec, phases):
+    """The phase table of :func:`dacnet.ops._phases` against the rule it states.
+
+    Every tap lies in exactly one phase; a tap (th, tw) lies in the input
+    phase ``((th*d - pad_h) % s, (tw*d - pad_w) % s)``; and there is exactly
+    one phase iff the stride divides the dilation (or there is one tap).
+    """
+    k, d, s = spec.kernel_size, spec.dilation, spec.stride
+    seen = np.zeros((k, k), dtype=int)
+    for (th, tw), phase, _ in phases:
+        seen[th, tw] += 1
+        for t_h in range(k)[th]:
+            for t_w in range(k)[tw]:
+                assert phase == ((t_h * d - spec.pad[0]) % s, (t_w * d - spec.pad[1]) % s)
+    assert (seen == 1).all()
+    assert len({phase for _, phase, _ in phases}) == len(phases)
+    assert (len(phases) == 1) == (d % s == 0 or k == 1)
+
+
 class TestDepthwiseBlocks:
     """The row-blocked depthwise layer across block boundaries, against the oracle.
 
@@ -296,7 +290,7 @@ class TestDepthwiseBlocks:
         (5, 2, 1, (1, 3)),
         (1, 1, 1, (0, 0)),
         (3, 2, 2, (2, 2)),  # the network's stride-2 layer: gather on one input phase
-        (3, 3, 2, (3, 1)),  # stride does not divide dilation: scatter gradient
+        (3, 3, 2, (3, 1)),  # stride does not divide dilation: four input phases
         (5, 1, 2, (2, 2)),
         (1, 1, 2, (1, 0)),
         (3, 1, 1, (3, 1)),  # pad > d*(k-1): the gather crops the output gradient
@@ -317,15 +311,25 @@ class TestDepthwiseBlocks:
         (3, 3, 3, (1, 3), (11, 11), ((2, 0), (1, 1), 1)),  # stride 3
         (3, 2, 2, (2, 2), (9, 13), ((0, 0), (1, 1), 1)),  # odd H and W at d = s = 2
         (3, 2, 2, (1, 1), (6, 7), ((1, 1), (1, 1), 1)),  # live phase padded 1 left, 0 right
-        (3, 3, 2, (2, 2), (9, 11), None),  # s does not divide d: scatter gradient
+        (3, 3, 2, (2, 2), (9, 11), None),  # s does not divide d: four input phases
         (1, 2, 2, (1, 1), (1, 1), ((1, 1), (1, 1), 1)),  # every tap reads padding
     ])
     def test_phase_split_paths_match_oracle(self, monkeypatch, k, d, stride, pad, hw, split):
-        """Strided layers whose gradient comes from one live input phase, or not."""
+        """Strided layers whose gradient comes from one live input phase, or from several.
+
+        ``split`` is the one phase's ``(input phase, left padding, dilation)``,
+        or None when the stride does not divide the dilation.
+        """
         from dacnet import ops
         spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
                         mode="depthwise", has_bias=True)
-        assert ops._phase_split(spec) == split
+        dilation, phases = ops._phases(spec)
+        assert_phase_rule(spec, phases)
+        if split is None:
+            assert len(phases) > 1
+        else:
+            assert [(phase, left) for _, phase, left in phases] == [split[:2]]
+            assert dilation == split[2]
         self.check_in_two_blocks(monkeypatch, spec, *hw)
 
     @staticmethod

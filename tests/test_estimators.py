@@ -92,6 +92,20 @@ class TestDacNetClassifier:
         assert np.max(np.abs(proba.sum(axis=1) - 1.0)) <= 1e-12
         assert np.array_equal(clf.predict(X), proba.argmax(axis=1))
 
+    def test_proba_is_softmax_of_logits_for_any_workers(self, fitted):
+        clf, X, y = fitted
+        X = np.concatenate([X, X, X])  # 72 segments: three batches of at most 32
+        logits = clf.model_.predict_logits(X)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want = exp / exp.sum(axis=1, keepdims=True)
+        probas = []
+        for workers in (1, 2):
+            clf.set_params(workers=workers)
+            probas.append(clf.predict_proba(X))
+        clf.set_params(workers=1)
+        assert np.max(np.abs(probas[0] - want)) <= 1e-12
+        assert probas[0].tobytes() == probas[1].tobytes()
+
     def test_score_fits_training_blobs(self, fitted):
         clf, X, y = fitted
         assert clf.score(X, y) >= 0.9
