@@ -97,6 +97,9 @@ class DacNetClassifier(BaseEstimator):
     ``network`` and ``train`` accept config objects or plain dicts; both
     default to the desk-scale toy preset. After ``fit`` the trained model is
     available as ``model_`` and the per-epoch history as ``history_``.
+    ``workers`` spreads the batches of ``predict_proba``, ``predict`` and
+    ``score`` over threads; ``fit`` ignores it, because each training step
+    is one whole-batch pass.
     """
 
     def __init__(self, network: Optional[NetworkConfig | dict] = None,

@@ -256,6 +256,17 @@ class _ConvUnit:
         self.running_var = np.ones(c, dtype=DTYPE)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        if not training:
+            # Inference: batch norm folded into the kernel, one convolution,
+            # nothing recorded on a tape.
+            kernel, shift = ops.fold_batchnorm(
+                self.kernel.data, None if self.bias is None else self.bias.data,
+                self.gamma.data, self.beta.data, self.running_mean, self.running_var,
+            )
+            out = ops.conv2d_forward(x.data, kernel, shift, self.spec)
+            if self.act:
+                np.maximum(out, 0.0, out=out)
+            return Tensor(out)
         out = ops.conv2d(x, self.kernel, self.bias, self.spec)
         return ops.batchnorm(out, self.gamma, self.beta, self.running_mean,
                              self.running_var, training, relu=self.act)
@@ -393,6 +404,15 @@ class Model:
                     raise ShapeError(f"block{i}.{unit.name.split('.')[-1]}: {exc}") from exc
 
     def forward(self, x: Tensor, training: bool = False) -> tuple[Tensor, MultiScaleEmbedding]:
+        """Logits and multi-scale embedding of a batch.
+
+        ``training=True`` normalizes with batch statistics, updates the
+        running statistics and records every operation on an open
+        :class:`~dacnet.tensor.GradientTape`. Eval mode is inference: each
+        convolution unit folds its batch norm into its kernel
+        (:func:`~dacnet.ops.fold_batchnorm`) and records nothing on a tape,
+        so no gradient reaches the convolution units' inputs or parameters.
+        """
         if x.ndim != 4 or x.shape[1] != self.config.input_channels:
             raise ShapeError(
                 f"expected input (B, {self.config.input_channels}, H, W), got {x.shape}"

@@ -45,7 +45,10 @@ Batch normalization is one per-channel scale and shift of its input in both
 modes; training mode takes the mean and variance from two reductions over
 ``x`` and keeps no centered copy. It can apply the following ReLU in place
 on its own output (``batchnorm(..., relu=True)``), which saves a copy, a
-mask array and a tape record per layer.
+mask array and a tape record per layer. For inference, eval-mode batch norm
+folds into the preceding convolution's kernel and bias
+(:func:`fold_batchnorm`), so a layer runs one convolution and no separate
+normalization pass.
 
 Raw kernels (``*_forward`` / ``*_backward``) operate on numpy arrays. The
 lowercase wrappers (``conv2d``, ``relu``, ...) operate on
@@ -514,6 +517,8 @@ def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
 # Batch normalization
 # ---------------------------------------------------------------------------
 
+BN_EPS = 1e-5  # added to the variance before its square root, in every mode
+
 
 def batchnorm_forward(
     x: np.ndarray,
@@ -522,7 +527,6 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    eps: float = 1e-5,
     momentum: float = 0.1,
     relu: bool = False,
 ):
@@ -531,12 +535,13 @@ def batchnorm_forward(
     Training mode normalizes with the biased batch statistics and updates the
     running statistics in place with the given momentum; eval mode uses the
     running statistics. Either way the output is one scale and one shift of
-    ``x``, ``x*scale + (beta - mean*scale)``, and no centered copy of ``x``
-    is made. The batch variance is ``E[x^2] - mean^2``, clamped at zero: its
-    relative error grows as ``(mean/std)^2`` times the float64 rounding
-    error, about 3e-10 in the output at ``|mean| = 1e3 * std`` and 1e-7 at
-    1e4. ``relu=True`` clamps the output at zero in place. Returns ``(out,
-    cache)`` where ``cache`` feeds :func:`batchnorm_backward`.
+    ``x``, ``x*scale + (beta - mean*scale)`` with ``scale = gamma /
+    sqrt(var + BN_EPS)``, and no centered copy of ``x`` is made. The batch
+    variance is ``E[x^2] - mean^2``, clamped at zero: its relative error
+    grows as ``(mean/std)^2`` times the float64 rounding error, about 3e-10
+    in the output at ``|mean| = 1e3 * std`` and 1e-7 at 1e4. ``relu=True``
+    clamps the output at zero in place. Returns ``(out, cache)`` where
+    ``cache`` feeds :func:`batchnorm_backward`.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm expects a 4-D input, got {x.ndim}-D")
@@ -556,7 +561,7 @@ def batchnorm_forward(
         running_var += momentum * var
     else:
         mean, var = running_mean.copy(), running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     scale = gamma * inv_std
     shape = (1, c, 1, 1)
     out = x * scale.reshape(shape)
@@ -565,6 +570,29 @@ def batchnorm_forward(
         np.maximum(out, 0.0, out=out)
     cache = (x, mean, inv_std, scale, out if relu else None, count, training)
     return out, cache
+
+
+def fold_batchnorm(
+    kernel: np.ndarray,
+    bias: Optional[np.ndarray],
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode batch norm folded into the convolution before it.
+
+    With ``scale = gamma / sqrt(running_var + BN_EPS)``, normalizing the output
+    of ``conv(x, kernel) + bias`` equals ``conv(x, kernel * scale) + shift``
+    with ``shift = beta - running_mean*scale + bias*scale`` (Jacob et al.
+    2018). Axis 0 of the kernel is the output channel in every mode. Returns
+    ``(kernel', shift)`` for :func:`conv2d_forward`.
+    """
+    scale = gamma / np.sqrt(running_var + BN_EPS)
+    shift = beta - running_mean * scale
+    if bias is not None:
+        shift += bias * scale
+    return kernel * scale.reshape(-1, 1, 1, 1), shift
 
 
 def batchnorm_backward(output_grad: np.ndarray, cache):
@@ -682,14 +710,12 @@ def batchnorm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    eps: float = 1e-5,
     momentum: float = 0.1,
     relu: bool = False,
 ) -> Tensor:
     """Batch normalization, optionally followed by ReLU as one taped operation."""
     out_data, cache = batchnorm_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var, training, eps, momentum,
-        relu,
+        x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, relu,
     )
     out = Tensor(out_data)
 

@@ -164,6 +164,8 @@ def predict_batches(model: Model, features: np.ndarray, batch_size: int = 32,
                     workers: int = 1) -> np.ndarray:
     """Logits of every segment in batches fixed by ``batch_size`` alone, run on
     ``workers`` threads, so they are identical for any worker count."""
+    if len(features) == 0:
+        raise DataError("cannot predict on an empty dataset")
     chunks = [features[i:i + batch_size] for i in range(0, len(features), batch_size)]
     return np.concatenate(parallel_map(model.predict_logits, chunks, workers))
 
@@ -182,8 +184,6 @@ def evaluate(
     argmax of the logits (:func:`predict_batches`) with ties broken toward
     the lowest class index, so results are identical for any worker count.
     """
-    if len(features) == 0:
-        raise DataError("cannot evaluate an empty dataset")
     if num_classes is None:
         num_classes = model.config.num_classes
     labels = np.asarray(labels)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dacnet import ConfigError, DacNetClassifier, LogMelFrontend, ShapeError
+from dacnet import ConfigError, DacNetClassifier, DataError, LogMelFrontend, ShapeError
 from dacnet.network import BlockSpec, NetworkConfig
 from dacnet.training import TrainConfig
 
@@ -109,6 +109,12 @@ class TestDacNetClassifier:
     def test_score_fits_training_blobs(self, fitted):
         clf, X, y = fitted
         assert clf.score(X, y) >= 0.9
+
+    @pytest.mark.parametrize("method", ["predict_proba", "predict"])
+    def test_empty_features_rejected(self, fitted, method):
+        clf, X, y = fitted
+        with pytest.raises(DataError, match="empty"):
+            getattr(clf, method)(np.zeros((0, 3, 28, 12)))
 
     def test_unfitted_predict_rejected(self):
         clf = DacNetClassifier(network=tiny_network())

@@ -16,7 +16,7 @@ from dacnet import (
 )
 from dacnet import ops
 from dacnet.complexity import analyze_network
-from dacnet.network import Model, receptive_field
+from dacnet.network import Model, _ConvUnit, receptive_field
 
 
 def mini_config(**kw):
@@ -176,6 +176,81 @@ class TestTape:
             logits, _ = model.forward(x, training=True)
             ops.softmax_cross_entropy(logits, np.array([0, 1]))
         assert len(tape) == 53
+
+    def test_eval_forward_records_no_convolution_or_batchnorm(self):
+        """Eval mode is inference: folded units put nothing on an open tape."""
+        model = build_network(load_preset("toy").network, 0)
+        x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 28, 64)))
+        with GradientTape() as tape:
+            model.forward(x, training=False)
+        recorded = [backward.__qualname__.split(".")[0] for _, backward in tape._records]
+        assert "conv2d" not in recorded and "batchnorm" not in recorded
+        assert recorded == ["linear"]  # only the classifier, whose weight requires grad
+
+
+def randomize_batchnorm(unit, rng):
+    """Non-trivial gamma, beta, running statistics and (if any) bias of a unit."""
+    c = unit.spec.out_channels
+    unit.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+    unit.beta.data[...] = rng.standard_normal(c)
+    unit.running_mean[...] = rng.standard_normal(c)
+    unit.running_var[...] = rng.uniform(0.25, 4.0, c)
+    if unit.bias is not None:
+        unit.bias.data[...] = rng.standard_normal(c)
+
+
+def unfolded_call(unit, x, training):
+    """Eval forward of a unit as convolution, then batch norm on running statistics."""
+    out = ops.conv2d(x, unit.kernel, unit.bias, unit.spec)
+    return ops.batchnorm(out, unit.gamma, unit.beta, unit.running_mean, unit.running_var,
+                         training, relu=unit.act)
+
+
+def max_relative_error(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestFoldedInference:
+    """Eval-mode batch norm folded into the kernel equals the unfolded two-step path."""
+
+    @pytest.mark.parametrize("act", [True, False])
+    @pytest.mark.parametrize("spec, shape", [
+        (ops.ConvSpec(3, 3, 5, stride=2, padding=1), (2, 3, 11, 14)),
+        (ops.ConvSpec(3, 6, 6, stride=2, padding=2, dilation=2, mode="depthwise"),
+         (2, 6, 13, 12)),
+        (ops.ConvSpec(3, 4, 4, stride=1, padding=3, dilation=3, mode="depthwise"),
+         (3, 4, 9, 10)),
+        (ops.ConvSpec(1, 4, 7, mode="pointwise", has_bias=True), (2, 4, 5, 6)),
+    ], ids=["standard", "depthwise-d2-s2", "depthwise-d3", "pointwise-bias"])
+    def test_unit_matches_conv_then_batchnorm(self, spec, shape, act):
+        rng = np.random.default_rng(20)
+        unit = _ConvUnit("unit", spec, rng, act=act)
+        randomize_batchnorm(unit, rng)
+        x = rng.standard_normal(shape)
+        conv = ops.conv2d_forward(x, unit.kernel.data,
+                                  None if unit.bias is None else unit.bias.data, spec)
+        want, _ = ops.batchnorm_forward(conv, unit.gamma.data, unit.beta.data,
+                                        unit.running_mean.copy(), unit.running_var.copy(),
+                                        training=False, relu=act)
+        running = (unit.running_mean.copy(), unit.running_var.copy())
+        got = unit(Tensor(x), training=False).data
+        assert max_relative_error(got, want) <= 1e-12
+        assert (got.min() >= 0.0) == act
+        # inference leaves the unit's running statistics untouched
+        assert np.array_equal(unit.running_mean, running[0])
+        assert np.array_equal(unit.running_var, running[1])
+
+    @pytest.mark.parametrize("preset", ["toy", "reference"])
+    def test_model_logits_match_unfolded_path(self, preset, monkeypatch):
+        model = build_network(load_preset(preset).network, 0)
+        rng = np.random.default_rng(21)
+        for unit in model.units():
+            randomize_batchnorm(unit, rng)
+        x = rng.standard_normal((2, 3, 28, 64))
+        folded = model.predict_logits(x)
+        monkeypatch.setattr(_ConvUnit, "__call__", unfolded_call)
+        unfolded = model.predict_logits(x)
+        assert max_relative_error(folded, unfolded) <= 1e-12
 
 
 class TestGradientsEndToEnd:

@@ -18,7 +18,7 @@ from dacnet import (
     train,
 )
 from dacnet import ops
-from dacnet.training import LR_FLOOR, AdamState, ConfusionMatrix
+from dacnet.training import LR_FLOOR, AdamState, ConfusionMatrix, predict_batches
 
 # Per-class segment counts of the real corpus's test split, ordered by class
 # index; Watching TV (index 7) is the majority class.
@@ -145,6 +145,11 @@ class TestEvaluate:
         model = build_network(tiny_config(), 0)
         with pytest.raises(DataError, match="empty"):
             evaluate(model, np.zeros((0, 3, 28, 20)), np.zeros(0, dtype=int))
+
+    def test_predict_batches_empty_rejected(self):
+        model = build_network(tiny_config(), 0)
+        with pytest.raises(DataError, match="empty"):
+            predict_batches(model, np.zeros((0, 3, 28, 20)))
 
     def test_accuracy_equals_trace_over_total(self):
         model = build_network(tiny_config(), 0)
