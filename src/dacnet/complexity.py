@@ -38,12 +38,8 @@ def layer_params(spec: ConvSpec) -> int:
     """Trainable scalars of one convolution layer (a pointwise layer has K = 1)."""
     k2 = spec.kernel_size ** 2
     if spec.mode == "depthwise":
-        count = k2 * spec.in_channels
-    else:
-        count = k2 * spec.in_channels * spec.out_channels
-    if spec.has_bias:
-        count += spec.out_channels
-    return count
+        return k2 * spec.in_channels
+    return k2 * spec.in_channels * spec.out_channels
 
 
 def layer_macs(spec: ConvSpec, output_shape: tuple[int, int]) -> int:

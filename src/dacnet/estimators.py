@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .frontend import FrontendConfig, compute_features, mel_filterbank
+from .frontend import FrontendConfig, compute_features
 from .network import Model, NetworkConfig, build_network
 from .presets import load_preset
 from .training import TrainConfig, evaluate, predict_batches, train
@@ -74,7 +74,6 @@ class LogMelFrontend(BaseEstimator):
 
     def fit(self, X=None, y=None) -> "LogMelFrontend":
         self.config_ = self._config()
-        self.filterbank_ = mel_filterbank(self.config_)
         return self
 
     def transform(self, X):

@@ -149,12 +149,9 @@ def _shared_filterbank(config: FrontendConfig) -> np.ndarray:
     return fb
 
 
-def mel_project_log(
-    power: np.ndarray, config: FrontendConfig, filterbank: np.ndarray | None = None
-) -> np.ndarray:
+def mel_project_log(power: np.ndarray, config: FrontendConfig) -> np.ndarray:
     """ln(max(filterbank @ power, log_floor)), shape (mel_bins, n_frames)."""
-    if filterbank is None:
-        filterbank = _shared_filterbank(config)
+    filterbank = _shared_filterbank(config)
     if power.shape[0] != filterbank.shape[1]:
         raise ShapeError(
             f"power has {power.shape[0]} FFT bins, filterbank expects {filterbank.shape[1]}"

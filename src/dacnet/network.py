@@ -146,9 +146,17 @@ class NetworkConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "NetworkConfig":
-        """Fields missing from ``doc`` take their defaults; ``blocks`` is required."""
+        """Fields missing from ``doc`` take their defaults; ``blocks`` is required
+        and unknown keys are rejected."""
+        if not isinstance(doc, dict):
+            raise ConfigError(
+                f"malformed network config: expected an object, not {type(doc).__name__}")
+        names = {f.name for f in fields(NetworkConfig)}
+        unknown = [str(key) for key in doc if key not in names]
+        if unknown:
+            raise ConfigError(f"malformed network config: unknown keys {', '.join(unknown)}")
         try:
-            values = {f.name: doc[f.name] for f in fields(NetworkConfig) if f.name in doc}
+            values = dict(doc)
             values["blocks"] = tuple(BlockSpec(*row) for row in doc["blocks"])
             if values.get("mse_taps") is not None:
                 values["mse_taps"] = tuple(values["mse_taps"])
@@ -234,7 +242,10 @@ def receptive_field(config: NetworkConfig, upto_instance: Optional[int] = None) 
 
 
 class _ConvUnit:
-    """Convolution plus batch norm (and optionally ReLU), owning its parameters."""
+    """Convolution plus batch norm (and optionally ReLU), owning its parameters.
+
+    The convolution has no bias: batch norm's mean subtraction would cancel it.
+    """
 
     bn = True  # every unit normalizes; kept readable for code that inspects units
 
@@ -248,7 +259,6 @@ class _ConvUnit:
         else:
             fan_in = spec.in_channels * spec.kernel_size ** 2
         self.kernel = Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), kh), requires_grad=True)
-        self.bias = Tensor(np.zeros(spec.out_channels), requires_grad=True) if spec.has_bias else None
         c = spec.out_channels
         self.gamma = Tensor(np.ones(c), requires_grad=True)
         self.beta = Tensor(np.zeros(c), requires_grad=True)
@@ -259,25 +269,19 @@ class _ConvUnit:
         if not training:
             # Inference: batch norm folded into the kernel, one convolution,
             # nothing recorded on a tape.
-            kernel, shift = ops.fold_batchnorm(
-                self.kernel.data, None if self.bias is None else self.bias.data,
-                self.gamma.data, self.beta.data, self.running_mean, self.running_var,
-            )
+            kernel, shift = ops.fold_batchnorm(self.kernel.data, self.gamma.data, self.beta.data,
+                                               self.running_mean, self.running_var)
             out = ops.conv2d_forward(x.data, kernel, shift, self.spec)
             if self.act:
                 np.maximum(out, 0.0, out=out)
             return Tensor(out)
-        out = ops.conv2d(x, self.kernel, self.bias, self.spec)
+        out = ops.conv2d(x, self.kernel, None, self.spec)
         return ops.batchnorm(out, self.gamma, self.beta, self.running_mean,
                              self.running_var, training, relu=self.act)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = [(f"{self.name}.kernel", self.kernel)]
-        if self.bias is not None:
-            out.append((f"{self.name}.bias", self.bias))
-        out.append((f"{self.name}.gamma", self.gamma))
-        out.append((f"{self.name}.beta", self.beta))
-        return out
+        return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.gamma", self.gamma),
+                (f"{self.name}.beta", self.beta)]
 
     def buffers(self) -> list[np.ndarray]:
         return [self.running_mean, self.running_var]

@@ -11,42 +11,43 @@ equals the analytic cost model exactly; an optional instrumentation context
 the kernels execute. The count covers the forward pass only and is the same
 whichever path below runs.
 
-A standard layer (and a pointwise layer with a stride or padding) is one
-matrix product per block of whole samples: the block's ``C_in*k*k`` tap
-columns, unfolded as for a depthwise layer below, times the kernel flattened
-to ``(C_out, C_in*k*k)`` (im2col). Its backward pass unfolds the columns
-again, block by block, for the kernel gradient. A pointwise layer at stride 1
-without padding reads its input as the one and only tap window, so it copies
-no columns: forward and backward are plain matrix products.
+Every pass that copies taps runs on block-local im2col columns (Chellapilla,
+Puri & Simard 2006), and :func:`_column_blocks` is the one place that makes
+them. It splits an ``(N, C, H, W)`` array into blocks of whole samples whose
+columns take about ``_BLOCK_BYTES``, allocates one zero-bordered buffer per
+call (concurrent calls share nothing), reuses it across blocks, and copies
+each block's tap windows into it as ``(samples, C*k*k, Ho*Wo)`` matrices.
+Only the window parts inside the unpadded input are copied, so the buffer's
+zero border stands for the padding and no padded copy of the input is made.
 
-A depthwise layer views the activation as ``B*C`` independent rows of shape
-``(H, W)``, each with its own k*k taps, and works on one block of rows at a
-time: it copies the block's tap windows into a column buffer of shape
-``(rows, k*k, Ho*Wo)``, about ``_BLOCK_BYTES`` in size, and contracts it with
-the rows' taps in one batched product (one BLAS matrix-vector product per
-row). The buffer is allocated per call and reused across blocks. Only the
-window parts inside the unpadded input are ever copied, so the buffer's zero
-border, written once, stands for the padding and no padded copy of the input
-is made.
+A standard layer (and a pointwise layer with a stride or padding) is one
+matrix product per block: the kernel flattened to ``(C_out, C_in*k*k)``
+times the block's columns. Its backward pass unfolds the columns again for
+the kernel gradient. A pointwise layer at stride 1 without padding reads its
+input as the one and only tap window, so it copies no columns: forward and
+backward are plain matrix products. A depthwise layer views the activation
+as ``B*C`` one-channel samples of shape ``(H, W)``, each with its own k*k
+taps, and contracts each block's columns with its rows' taps in one batched
+product (one BLAS matrix-vector product per row).
 
 Every input gradient, and the kernel gradient of a depthwise layer, is a
-gather (polyphase decomposition): the taps of a stride-s layer that read the
-same input phase ``x[..., ph::s, pw::s]`` form a stride-1 layer on that phase
-(:func:`_phases`), and the phase's input gradient is that layer's sub-kernel
-rotated 180 degrees times the columns of the output gradient. A stride-1
-layer is its own single phase, as is every layer whose stride divides its
-dilation (every depthwise layer of the presets, but not of their ``no_dco``
-ablation). A depthwise layer takes the kernel gradient of each phase's taps
-from the same columns times the input phase; a standard layer takes its
-kernel gradient from the input's columns. No gradient is scattered back with
-strided adds.
+gather (polyphase decomposition; Dumoulin & Visin 2016): the taps of a
+stride-s layer that read the same input phase ``x[..., ph::s, pw::s]`` form
+a stride-1 layer on that phase (:func:`_phases`), and the phase's input
+gradient is that layer's sub-kernel rotated 180 degrees times the columns of
+the output gradient (:func:`_gradient_columns`). A stride-1 layer is its own
+single phase, as is every layer whose stride divides its dilation (every
+depthwise layer of the presets, but not of their ``no_dco`` ablation). A
+depthwise layer takes the kernel gradient of each phase's taps from the same
+columns times the input phase; a standard layer takes its kernel gradient
+from the input's columns. No gradient is scattered back with strided adds.
 
 Batch normalization is one per-channel scale and shift of its input in both
 modes; training mode takes the mean and variance from two reductions over
 ``x`` and keeps no centered copy. It can apply the following ReLU in place
 on its own output (``batchnorm(..., relu=True)``), which saves a copy, a
 mask array and a tape record per layer. For inference, eval-mode batch norm
-folds into the preceding convolution's kernel and bias
+folds into the preceding convolution's kernel and a bias
 (:func:`fold_batchnorm`), so a layer runs one convolution and no separate
 normalization pass.
 
@@ -87,7 +88,6 @@ class ConvSpec:
     padding: int | tuple[int, int] = 0
     dilation: int = 1
     mode: str = "standard"
-    has_bias: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -221,10 +221,9 @@ def conv2d_forward(
             np.matmul(kernel[:, :, 0, 0], x.reshape(b, ci, h * w), out=out)
         else:
             flat_kernel = kernel.reshape(spec.out_channels, ci * k2)
-            columns, rows, blocks = _sample_blocks(x, spec, ho, wo)
-            for s0, s1 in blocks:
-                cols = columns.unfold(rows[s0 * ci:s1 * ci]).reshape(s1 - s0, ci * k2, -1)
-                np.matmul(flat_kernel, cols, out=out[s0:s1])
+            for n0, n1, cols in _column_blocks(x, kernel.shape[2:], spec.dilation, spec.stride,
+                                               spec.pad, (ho, wo)):
+                np.matmul(flat_kernel, cols, out=out[n0:n1])
         _tally(out.size * ci * k2)
         out = out.reshape(b, spec.out_channels, ho, wo)
     if bias is not None:
@@ -270,10 +269,9 @@ def conv2d_backward(
     # which would hold a k*k-fold copy of the input for the whole step.
     flat_kernel = kernel.reshape(spec.out_channels, -1)
     kernel_grad = np.zeros_like(flat_kernel)
-    columns, rows, blocks = _sample_blocks(x, spec, ho, wo)
-    for s0, s1 in blocks:
-        cols = columns.unfold(rows[s0 * ci:s1 * ci]).reshape(s1 - s0, flat_kernel.shape[1], -1)
-        kernel_grad += _kernel_tap_grad(gout_flat[s0:s1], cols)
+    for n0, n1, cols in _column_blocks(x, kernel.shape[2:], spec.dilation, spec.stride,
+                                       spec.pad, (ho, wo)):
+        kernel_grad += _kernel_tap_grad(gout_flat[n0:n1], cols)
     input_grad = _standard_input_grad(output_grad, kernel, spec, h, w) if need_input_grad else None
     return input_grad, kernel_grad.reshape(kernel.shape), bias_grad
 
@@ -281,22 +279,6 @@ def conv2d_backward(
 def _is_direct(spec: ConvSpec) -> bool:
     """A pointwise layer at stride 1 without padding: its input is its one tap window."""
     return spec.mode == "pointwise" and spec.stride == 1 and spec.pad == (0, 0)
-
-
-def _sample_blocks(x: np.ndarray, spec: ConvSpec, ho: int, wo: int):
-    """Column buffer, rows and sample blocks of a standard or pointwise layer.
-
-    ``x`` is viewed as ``B*C_in`` rows, and each block holds whole samples,
-    so a block's depthwise-style columns ``(samples*C_in, k*k, Ho*Wo)``
-    reshape for free to the im2col matrices ``(samples, C_in*k*k, Ho*Wo)``,
-    whose column order is that of ``kernel.reshape(C_out, C_in*k*k)``.
-    Returns ``(columns, rows, [(s0, s1), ...])``.
-    """
-    b, ci, h, w = x.shape
-    k = spec.kernel_size
-    step, blocks = _row_blocks(b, 8 * ci * k * k * ho * wo)
-    columns = _Columns(step * ci, (k, k), spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
-    return columns, x.reshape(b * ci, h, w), blocks
 
 
 def _kernel_tap_grad(gout_flat: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -309,22 +291,15 @@ def _standard_input_grad(output_grad: np.ndarray, kernel: np.ndarray, spec: Conv
     """Input gradient of a standard or pointwise layer, one input phase at a time:
     per block of whole samples, the phase's sub-kernel rotated 180 degrees with
     its channels swapped, (C_in, C_out*kh*kw), times the output gradient's columns."""
-    b, co, ho, wo = output_grad.shape
     ci, s = spec.in_channels, spec.stride
-    g_rows = output_grad.reshape(b * co, ho, wo)
     d, phases = _phases(spec)
-    input_grad = _phase_array((b, ci, h, w), s, len(phases))
+    input_grad = _phase_array((len(output_grad), ci, h, w), s, len(phases))
     for (th, tw), (ph, pw), pad in phases:
         sub = kernel[:, :, th, tw]
-        kh, kw = sub.shape[2:]
-        rotated = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+        rotated = sub[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, -1)
         phase = input_grad[:, :, ph::s, pw::s]
-        hp, wp = phase.shape[2:]
-        step, blocks = _row_blocks(b, 8 * co * kh * kw * hp * wp)
-        columns = _gradient_columns(step * co, (kh, kw), d, pad, (ho, wo), (hp, wp))
-        for s0, s1 in blocks:
-            cols = columns.unfold(g_rows[s0 * co:s1 * co]).reshape(s1 - s0, co * kh * kw, -1)
-            _product_into(phase[s0:s1], rotated, cols)
+        for n0, n1, cols in _gradient_columns(output_grad, sub.shape[2:], d, pad, phase.shape[2:]):
+            _product_into(phase[n0:n1], rotated, cols)
     return input_grad
 
 
@@ -332,10 +307,10 @@ def _standard_input_grad(output_grad: np.ndarray, kernel: np.ndarray, spec: Conv
 # Block-local tap columns; depthwise convolution, one batched product per block
 # ---------------------------------------------------------------------------
 
-# Target size of one block's column buffer, (rows, k*k, Ho*Wo) doubles. The
-# block's rows, columns and output then stay in a 2 MiB L2 cache between the
-# copy into the columns and the product that reads them. Of 256 KiB to 4 MiB,
-# 1 MiB was fastest over the toy and reference layers.
+# Target size of one block's column buffer, (samples, C*k*k, Ho*Wo) doubles.
+# The block's input, columns and output then stay in a 2 MiB L2 cache between
+# the copy into the columns and the product that reads them. Of 256 KiB to
+# 4 MiB, 1 MiB was fastest over the toy and reference layers.
 _BLOCK_BYTES = 1024 * 1024
 
 
@@ -368,33 +343,36 @@ def _tap_slices(k: int, d: int, s: int, pad: int, size: int,
     return slices
 
 
-class _Columns:
-    """A reused column buffer for one layer geometry, (step, kh*kw, Ho, Wo), over rows.
+def _column_blocks(x: np.ndarray, taps: tuple[int, int], d: int, s: int,
+                   pad: tuple[int, int], out_hw: tuple[int, int]):
+    """The im2col columns of ``x`` (N, C, H, W), one block of whole samples at a time.
 
-    ``unfold`` copies each tap's window of a block of rows into its column.
-    Only the parts of the windows that lie inside the unpadded rows are ever
-    copied, so the buffer's zero border, written once, stands for the padding.
+    Yields ``(n0, n1, cols)``, where ``cols`` holds the ``(n1-n0, C*kh*kw,
+    Ho*Wo)`` columns of samples ``n0:n1``: one per channel, tap and output,
+    in the order of ``kernel.reshape(C_out, C*kh*kw)``. Each call allocates
+    one zeroed buffer, so concurrent calls share nothing, and reuses it
+    across blocks: ``cols`` is valid until the next block. Only the window
+    parts inside the unpadded input are copied, so the buffer's zero border
+    stands for the padding.
     """
-
-    def __init__(self, step: int, taps: tuple[int, int], d: int, s: int, pad: tuple[int, int],
-                 hw: tuple[int, int], out_hw: tuple[int, int]):
-        kh, kw = taps
-        self.buf = np.zeros((step, kh * kw, *out_hw), dtype=DTYPE)
-        rows, cols = (_tap_slices(k, d, s, p, n, m)
-                      for k, p, n, m in zip(taps, pad, hw, out_hw))
-        self.taps = [(th * kw + tw, oh, ow, ih, iw)
-                     for th, (oh, ih) in enumerate(rows) for tw, (ow, iw) in enumerate(cols)]
-
-    def unfold(self, rows: np.ndarray) -> np.ndarray:
-        """The block's columns as (rows, kh*kw, Ho*Wo): one per output and tap."""
-        cols = self.buf[:len(rows)]
-        for t, oh, ow, ih, iw in self.taps:
-            cols[:, t, oh, ow] = rows[:, ih, iw]
-        return cols.reshape(len(rows), cols.shape[1], -1)
+    n, c, h, w = x.shape
+    kh, kw = taps
+    step, blocks = _row_blocks(n, 8 * c * kh * kw * out_hw[0] * out_hw[1])
+    buf = np.zeros((step * c, kh * kw, *out_hw), dtype=DTYPE)
+    rows = x.reshape(n * c, h, w)
+    along_h, along_w = (_tap_slices(k, d, s, p, size, m)
+                        for k, p, size, m in zip(taps, pad, (h, w), out_hw))
+    windows = [(th * kw + tw, oh, ow, ih, iw)
+               for th, (oh, ih) in enumerate(along_h) for tw, (ow, iw) in enumerate(along_w)]
+    for n0, n1 in blocks:
+        block, block_rows = buf[:(n1 - n0) * c], rows[n0 * c:n1 * c]
+        for t, oh, ow, ih, iw in windows:
+            block[:, t, oh, ow] = block_rows[:, ih, iw]
+        yield n0, n1, block.reshape(n1 - n0, c * kh * kw, -1)
 
 
-def _gradient_columns(step: int, taps: tuple[int, int], d: int, pad: tuple[int, int],
-                      g_hw: tuple[int, int], hw: tuple[int, int]) -> _Columns:
+def _gradient_columns(g: np.ndarray, taps: tuple[int, int], d: int, pad: tuple[int, int],
+                      hw: tuple[int, int]):
     """Output-gradient columns of a stride-1 layer, one per input position and tap.
 
     The gradient is padded by ``d*(k-1) - pad`` (cropped where negative), so
@@ -402,7 +380,7 @@ def _gradient_columns(step: int, taps: tuple[int, int], d: int, pad: tuple[int, 
     sum_q x[q] g[q-o].
     """
     g_pad = tuple(d * (k - 1) - p for k, p in zip(taps, pad))
-    return _Columns(step, taps, d, 1, g_pad, g_hw, hw)
+    return _column_blocks(g, taps, d, 1, g_pad, hw)
 
 
 def _phases(spec: ConvSpec):
@@ -445,15 +423,13 @@ def _row_taps(kernel: np.ndarray, batch: int) -> np.ndarray:
 def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
                        ho: int, wo: int) -> np.ndarray:
     b, c, h, w = x.shape
-    k, n = spec.kernel_size, b * c
-    x_rows = x.reshape(n, h, w)
+    n = b * c
     taps = _row_taps(kernel, b)[:, None, :]
     out = np.empty((n, 1, ho * wo), dtype=DTYPE)
-    step, blocks = _row_blocks(n, 8 * k * k * ho * wo)
-    columns = _Columns(step, (k, k), spec.dilation, spec.stride, spec.pad, (h, w), (ho, wo))
-    for r0, r1 in blocks:
-        np.matmul(taps[r0:r1], columns.unfold(x_rows[r0:r1]), out=out[r0:r1])
-    _tally(k * k * out.size)
+    for r0, r1, cols in _column_blocks(x.reshape(n, 1, h, w), kernel.shape[2:], spec.dilation,
+                                       spec.stride, spec.pad, (ho, wo)):
+        np.matmul(taps[r0:r1], cols, out=out[r0:r1])
+    _tally(taps.shape[2] * out.size)
     return out.reshape(b, c, ho, wo)
 
 
@@ -467,50 +443,33 @@ def _depthwise_backward(
     """Input and kernel gradients of a depthwise layer, one input phase at a time.
 
     Each phase of :func:`_phases` is a stride-1 layer over its slice of the
-    taps, whose two gradients :func:`_gather_backward` takes together.
+    taps. With ``cols`` the output gradient's columns
+    (:func:`_gradient_columns`), the phase's input gradient is the rows' taps
+    rotated 180 degrees times ``cols``, and the gradient of its tap
+    ``kh*kw-1-t`` is ``cols[r, t] . x[r]``, all from one buffer per block.
     """
     b, c, h, w = x.shape
     s, n = spec.stride, b * c
     x_rows = x.reshape(n, h, w)
-    g_rows = output_grad.reshape(n, *output_grad.shape[2:])
+    g_rows = output_grad.reshape(n, 1, *output_grad.shape[2:])
     d, phases = _phases(spec)
     kernel_grad = np.empty_like(kernel)
     input_grad = _phase_array((n, 1, h, w), s, len(phases)) if need_input_grad else None
     for (th, tw), (ph, pw), pad in phases:
         sub = kernel[:, :, th, tw]
-        tap_grads = _gather_backward(
-            g_rows, x_rows[:, ph::s, pw::s], _row_taps(sub, b), sub.shape[2:], d, pad,
-            None if input_grad is None else input_grad[:, :, ph::s, pw::s],
-        )
-        kernel_grad[:, :, th, tw] = tap_grads.reshape(b, *sub.shape).sum(axis=0)
+        x_phase = x_rows[:, ph::s, pw::s]
+        hp, wp = x_phase.shape[1:]
+        taps = _row_taps(sub, b)
+        rotated = np.ascontiguousarray(taps[:, None, ::-1])
+        tap_grads = np.empty((n, taps.shape[1], 1), dtype=DTYPE)
+        for r0, r1, cols in _gradient_columns(g_rows, sub.shape[2:], d, pad, (hp, wp)):
+            np.matmul(cols, x_phase[r0:r1].reshape(r1 - r0, hp * wp, 1), out=tap_grads[r0:r1])
+            if input_grad is not None:
+                _product_into(input_grad[r0:r1, :, ph::s, pw::s], rotated[r0:r1], cols)
+        kernel_grad[:, :, th, tw] = tap_grads[:, ::-1, 0].reshape(b, *sub.shape).sum(axis=0)
     if input_grad is not None:
         input_grad = input_grad.reshape(x.shape)
     return input_grad, kernel_grad
-
-
-def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
-                     tap_hw: tuple[int, int], d: int, pad: tuple[int, int],
-                     input_grad: Optional[np.ndarray]) -> np.ndarray:
-    """Gradients of a stride-1 depthwise layer from one column buffer per block.
-
-    With ``cols`` the output gradient's columns (:func:`_gradient_columns`),
-    ``input_grad`` (rows, 1, H, W), if given, gets the rows' ``tap_hw`` taps
-    rotated 180 degrees times ``cols``; returns the kernel gradient per row,
-    whose tap ``kh*kw-1-t`` is ``cols[r, t] . x[r]``.
-    """
-    n, ho, wo = g_rows.shape
-    _, h, w = x_rows.shape
-    kk = taps.shape[1]
-    step, blocks = _row_blocks(n, 8 * kk * h * w)
-    columns = _gradient_columns(step, tap_hw, d, pad, (ho, wo), (h, w))
-    rotated = np.ascontiguousarray(taps[:, None, ::-1])
-    tap_grads = np.empty((n, kk, 1), dtype=DTYPE)
-    for r0, r1 in blocks:
-        cols = columns.unfold(g_rows[r0:r1])
-        np.matmul(cols, x_rows[r0:r1].reshape(r1 - r0, h * w, 1), out=tap_grads[r0:r1])
-        if input_grad is not None:
-            _product_into(input_grad[r0:r1], rotated[r0:r1], cols)
-    return tap_grads[:, ::-1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +477,7 @@ def _gather_backward(g_rows: np.ndarray, x_rows: np.ndarray, taps: np.ndarray,
 # ---------------------------------------------------------------------------
 
 BN_EPS = 1e-5  # added to the variance before its square root, in every mode
+BN_MOMENTUM = 0.1  # weight of a training batch's statistics in the running ones
 
 
 def batchnorm_forward(
@@ -527,14 +487,13 @@ def batchnorm_forward(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
     relu: bool = False,
 ):
     """Per-channel normalization over batch and spatial axes.
 
     Training mode normalizes with the biased batch statistics and updates the
-    running statistics in place with the given momentum; eval mode uses the
-    running statistics. Either way the output is one scale and one shift of
+    running statistics in place with momentum ``BN_MOMENTUM``; eval mode uses
+    the running statistics. Either way the output is one scale and one shift of
     ``x``, ``x*scale + (beta - mean*scale)`` with ``scale = gamma /
     sqrt(var + BN_EPS)``, and no centered copy of ``x`` is made. The batch
     variance is ``E[x^2] - mean^2``, clamped at zero: its relative error
@@ -555,10 +514,10 @@ def batchnorm_forward(
     if training:
         mean = x.mean(axis=(0, 2, 3))
         var = np.maximum(np.einsum("bchw,bchw->c", x, x) / count - mean * mean, 0.0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mean, var = running_mean.copy(), running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
@@ -574,7 +533,6 @@ def batchnorm_forward(
 
 def fold_batchnorm(
     kernel: np.ndarray,
-    bias: Optional[np.ndarray],
     gamma: np.ndarray,
     beta: np.ndarray,
     running_mean: np.ndarray,
@@ -583,16 +541,13 @@ def fold_batchnorm(
     """Eval-mode batch norm folded into the convolution before it.
 
     With ``scale = gamma / sqrt(running_var + BN_EPS)``, normalizing the output
-    of ``conv(x, kernel) + bias`` equals ``conv(x, kernel * scale) + shift``
-    with ``shift = beta - running_mean*scale + bias*scale`` (Jacob et al.
-    2018). Axis 0 of the kernel is the output channel in every mode. Returns
-    ``(kernel', shift)`` for :func:`conv2d_forward`.
+    of ``conv(x, kernel)`` equals ``conv(x, kernel * scale) + shift`` with
+    ``shift = beta - running_mean*scale`` (Jacob et al. 2018). Axis 0 of the
+    kernel is the output channel in every mode. Returns ``(kernel', shift)``;
+    the shift is the bias operand of :func:`conv2d_forward`.
     """
     scale = gamma / np.sqrt(running_var + BN_EPS)
-    shift = beta - running_mean * scale
-    if bias is not None:
-        shift += bias * scale
-    return kernel * scale.reshape(-1, 1, 1, 1), shift
+    return kernel * scale.reshape(-1, 1, 1, 1), beta - running_mean * scale
 
 
 def batchnorm_backward(output_grad: np.ndarray, cache):
@@ -710,12 +665,11 @@ def batchnorm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
     relu: bool = False,
 ) -> Tensor:
     """Batch normalization, optionally followed by ReLU as one taped operation."""
     out_data, cache = batchnorm_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, relu,
+        x.data, gamma.data, beta.data, running_mean, running_var, training, relu,
     )
     out = Tensor(out_data)
 

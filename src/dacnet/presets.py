@@ -28,6 +28,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"run config must be an object, not {type(doc).__name__}")
         for key in ("frontend", "network", "train"):
             if key not in doc:
                 raise ConfigError(f"run config is missing the {key!r} section")
@@ -85,10 +87,8 @@ def apply_override(doc: dict, assignment: str) -> None:
         value = raw  # bare strings are allowed unquoted
     node = doc
     for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ConfigError(f"override path {dotted!r} does not exist in the config")
-        node = node[key]
-    if keys[-1] not in node:
+        node = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigError(f"override path {dotted!r} does not exist in the config")
     node[keys[-1]] = value
 

@@ -77,18 +77,18 @@ class TestCriterion1Gradients:
             rng = np.random.default_rng(0)
             worst = {}
 
-            def conv_case(name, spec, shape):
+            def conv_case(name, spec, shape, has_bias=False):
                 x = Tensor(rng.standard_normal(shape), requires_grad=True)
                 k = Tensor(rng.standard_normal(spec.kernel_shape()), requires_grad=True)
                 b = Tensor(rng.standard_normal(spec.out_channels), requires_grad=True) \
-                    if spec.has_bias else None
+                    if has_bias else None
                 tensors = [x, k] + ([b] if b is not None else [])
                 worst[name] = finite_difference_check(
                     lambda: ops.mean_scalar(ops.conv2d(x, k, b, spec)), tensors
                 )
 
             conv_case("conv standard d1 s1",
-                      ConvSpec(3, 3, 4, padding=1, has_bias=True), (2, 3, 6, 6))
+                      ConvSpec(3, 3, 4, padding=1), (2, 3, 6, 6), has_bias=True)
             conv_case("conv standard d2 s2",
                       ConvSpec(3, 3, 4, stride=2, padding=2, dilation=2), (2, 3, 7, 7))
             conv_case("conv depthwise d1",
@@ -97,7 +97,7 @@ class TestCriterion1Gradients:
                       ConvSpec(3, 3, 3, padding=2, dilation=2, mode="depthwise"),
                       (1, 3, 6, 6))
             conv_case("conv pointwise",
-                      ConvSpec(1, 4, 5, mode="pointwise", has_bias=True), (2, 4, 5, 5))
+                      ConvSpec(1, 4, 5, mode="pointwise"), (2, 4, 5, 5), has_bias=True)
 
             for training in (True, False):
                 x = Tensor(rng.standard_normal((3, 2, 4, 4)), requires_grad=True)
@@ -185,7 +185,7 @@ class TestCriterion2ConvOracle:
                 x, kernel, bias, spec = random_case(rng, "standard", 1, 2)
                 alt = ConvSpec(spec.kernel_size, spec.in_channels, spec.out_channels,
                                stride=spec.stride, padding=spec.padding, dilation=1,
-                               mode="standard", has_bias=spec.has_bias)
+                               mode="standard")
                 d = conv2d_forward(x, kernel, bias, spec) - conv2d_forward(x, kernel, bias, alt)
                 assert np.max(np.abs(d)) <= 1e-12
 

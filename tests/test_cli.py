@@ -5,6 +5,7 @@ import json
 import pytest
 
 from dacnet.cli import main
+from dacnet.presets import preset_dict
 
 FAST = [
     "--set", "network.stem_channels=4",
@@ -135,6 +136,32 @@ class TestExitCodes:
     def test_bad_override_path_is_2(self, capsys):
         rc = main(["analyze", "--set", "network.does_not_exist=1"])
         assert rc == 2
+
+    @staticmethod
+    def assert_config_error(rc, capsys, message):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_unknown_network_key_is_2(self, tmp_path, capsys):
+        doc = preset_dict("toy")
+        doc["network"]["residual_enabld"] = False
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", "--config", str(path)])
+        self.assert_config_error(rc, capsys,
+                                 "malformed network config: unknown keys residual_enabld")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ([], "run config must be an object, not int"),
+        (["--set", "train.max_epochs=1"], "override path 'train.max_epochs' does not exist"),
+    ], ids=["bare", "override"])
+    def test_config_file_not_an_object_is_2(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "three.json"
+        path.write_text("3")
+        rc = main(["analyze", "--config", str(path), *overrides])
+        self.assert_config_error(rc, capsys, message)
 
     def test_data_error_is_3(self, tmp_path, capsys):
         rc = main(["features", "--data", str(tmp_path)])

@@ -18,7 +18,7 @@ from dacnet import (
     layer_params,
     load_preset,
 )
-from dacnet.complexity import TARGET_MAO, TARGET_PS, bn_params, deviation_summary
+from dacnet.complexity import TARGET_MAO, TARGET_PS, bn_params, deviation_summary, linear_params
 from dacnet.network import BlockSpec, ablation_variant
 
 
@@ -55,7 +55,7 @@ class TestFormulaCases:
         assert layer_params(ConvSpec(1, 1, 1, mode="pointwise")) == 1
 
     def test_bias_and_bn_params(self):
-        assert layer_params(ConvSpec(3, 4, 4, mode="depthwise", has_bias=True)) == 36 + 4
+        assert linear_params(32, 9) == 32 * 9 + 9  # convolutions have no bias
         assert bn_params(32) == 64
 
     def test_stride_and_dilation_affect_shape_only(self):

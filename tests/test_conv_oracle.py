@@ -19,13 +19,14 @@ def random_case(rng, mode, dilation, stride):
     h = int(rng.integers(h_lo, h_lo + 8))
     w = int(rng.integers(w_lo, w_lo + 8))
     b = int(rng.integers(1, 3))
+    has_bias = bool(rng.integers(0, 2))
     spec = ConvSpec(
         kernel_size=k, in_channels=m, out_channels=n, stride=stride,
-        padding=pad, dilation=d, mode=mode, has_bias=bool(rng.integers(0, 2)),
+        padding=pad, dilation=d, mode=mode,
     )
     x = rng.standard_normal((b, m, h, w))
     kernel = rng.standard_normal(spec.kernel_shape())
-    bias = rng.standard_normal(n) if spec.has_bias else None
+    bias = rng.standard_normal(n) if has_bias else None
     return x, kernel, bias, spec
 
 
@@ -81,7 +82,7 @@ class TestBackwardAgainstOracle:
     def test_direct_pointwise_backward(self, need_input_grad, has_bias):
         """Stride 1, no padding: the direct two-product path, <= 1e-12."""
         rng = np.random.default_rng(23)
-        spec = ConvSpec(1, 3, 4, mode="pointwise", has_bias=has_bias)
+        spec = ConvSpec(1, 3, 4, mode="pointwise")
         x = rng.standard_normal((2, 3, 4, 5))
         kernel = rng.standard_normal(spec.kernel_shape())
         gout = rng.standard_normal((2, 4, 4, 5))
@@ -109,7 +110,7 @@ class TestBackwardAgainstOracle:
     def test_tap_loop_backward(self, kwargs):
         """Padded or strided layers take the tap-column path, <= 1e-12."""
         rng = np.random.default_rng(29)
-        spec = ConvSpec(in_channels=3, out_channels=4, has_bias=True, **kwargs)
+        spec = ConvSpec(in_channels=3, out_channels=4, **kwargs)
         x = rng.standard_normal((2, 3, 5, 6))
         kernel = rng.standard_normal(spec.kernel_shape())
         gout = rng.standard_normal((2, 4) + spec.output_hw(5, 6))
@@ -131,7 +132,7 @@ class TestBackwardAgainstOracle:
         """Five samples run as blocks of three and two whole samples, <= 1e-12."""
         from dacnet import ops
         rng = np.random.default_rng(43)
-        spec = ConvSpec(in_channels=3, out_channels=4, has_bias=True, **kwargs)
+        spec = ConvSpec(in_channels=3, out_channels=4, **kwargs)
         ho, wo = spec.output_hw(5, 6)
         sample_bytes = 8 * 3 * spec.kernel_size ** 2 * ho * wo
         monkeypatch.setattr(ops, "_BLOCK_BYTES", 2 * sample_bytes)
@@ -165,8 +166,7 @@ class TestDegenerationsAndInvariants:
             x, kernel, bias, spec = random_case(rng, "standard", 1, 1)
             d1 = ConvSpec(
                 spec.kernel_size, spec.in_channels, spec.out_channels,
-                stride=spec.stride, padding=spec.padding, dilation=1,
-                mode=spec.mode, has_bias=spec.has_bias,
+                stride=spec.stride, padding=spec.padding, dilation=1, mode=spec.mode,
             )
             assert np.max(np.abs(
                 conv2d_forward(x, kernel, bias, d1) - conv2d_forward(x, kernel, bias, spec)
@@ -220,12 +220,7 @@ class TestDegenerationsAndInvariants:
     def test_linearity_of_bias_free_layers(self):
         rng = np.random.default_rng(13)
         for mode in ("standard", "depthwise", "pointwise"):
-            x, kernel, _, spec0 = random_case(rng, mode, 2, 1)
-            spec = ConvSpec(
-                spec0.kernel_size, spec0.in_channels, spec0.out_channels,
-                stride=spec0.stride, padding=spec0.padding, dilation=spec0.dilation,
-                mode=spec0.mode, has_bias=False,
-            )
+            x, kernel, _, spec = random_case(rng, mode, 2, 1)
             y = rng.standard_normal(x.shape)
             a, b = 1.7, -0.3
             combined = conv2d_forward(a * x + b * y, kernel, None, spec)
@@ -302,7 +297,7 @@ class TestDepthwiseBlocks:
         h = max(1, ext - 2 * pad[0]) + 3
         w = max(1, ext - 2 * pad[1]) + 4
         spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
-                        mode="depthwise", has_bias=True)
+                        mode="depthwise")
         self.check_in_two_blocks(monkeypatch, spec, h, w)
 
     @pytest.mark.parametrize("k,d,stride,pad,hw,split", [
@@ -322,7 +317,7 @@ class TestDepthwiseBlocks:
         """
         from dacnet import ops
         spec = ConvSpec(k, 3, 3, stride=stride, padding=pad, dilation=d,
-                        mode="depthwise", has_bias=True)
+                        mode="depthwise")
         dilation, phases = ops._phases(spec)
         assert_phase_rule(spec, phases)
         if split is None:

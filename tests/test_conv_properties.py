@@ -27,8 +27,7 @@ def layers(draw):
     c_in = draw(st.integers(1, 2))
     c_out = c_in if mode == "depthwise" else draw(st.integers(1, 2))
     batch = draw(st.integers(1, 2))
-    spec = ConvSpec(k, c_in, c_out, stride=stride, padding=pad, dilation=d, mode=mode,
-                    has_bias=True)
+    spec = ConvSpec(k, c_in, c_out, stride=stride, padding=pad, dilation=d, mode=mode)
     return spec, (batch, c_in) + hw, draw(st.integers(0, 2 ** 32 - 1))
 
 

@@ -1,5 +1,7 @@
 """Estimator facade: parameter handling, transform/fit/predict, validation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,13 @@ class TestDacNetClassifier:
         X = np.zeros((4, 3, 28, 12))
         with pytest.raises(ConfigError, match="labels"):
             clf.fit(X, np.array([0, 1, 2, 9]))
+
+    def test_unknown_network_key_rejected(self):
+        doc = json.loads(tiny_network().to_json())
+        doc["residual_enabld"] = False
+        clf = DacNetClassifier(network=doc, max_epochs=1)
+        with pytest.raises(ConfigError, match="unknown keys residual_enabld"):
+            clf.fit(np.zeros((4, 3, 28, 12)), np.zeros(4, dtype=int))
 
     def test_feature_validation(self):
         clf = DacNetClassifier(network=tiny_network(), max_epochs=1)

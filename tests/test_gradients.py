@@ -24,7 +24,7 @@ class TestConvGradients:
         rng = np.random.default_rng(21)
         m = 3
         n = m if mode == "depthwise" else 4
-        spec = ConvSpec(in_channels=m, out_channels=n, mode=mode, has_bias=True, **kwargs)
+        spec = ConvSpec(in_channels=m, out_channels=n, mode=mode, **kwargs)
         x = Tensor(rng.standard_normal((2, m, 6, 6)), requires_grad=True)
         k = Tensor(rng.standard_normal(spec.kernel_shape()), requires_grad=True)
         b = Tensor(rng.standard_normal(n), requires_grad=True)
@@ -40,7 +40,7 @@ class TestConvGradients:
     def test_depthwise_blocks_match_finite_differences(self, monkeypatch, kwargs):
         """Depthwise layers whose nine rows run as blocks of five and four."""
         rng = np.random.default_rng(22)
-        spec = ConvSpec(in_channels=3, out_channels=3, mode="depthwise", has_bias=True, **kwargs)
+        spec = ConvSpec(in_channels=3, out_channels=3, mode="depthwise", **kwargs)
         row_bytes = 8 * spec.kernel_size ** 2 * np.prod(spec.output_hw(6, 6))
         monkeypatch.setattr(ops, "_BLOCK_BYTES", 4 * row_bytes)
         assert ops._row_blocks(9, row_bytes)[1] == [(0, 5), (5, 9)]
@@ -159,7 +159,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 2, 3, 3)) * 2.0 + 1.0
         rm, rv = np.zeros(2), np.ones(2)
-        ops.batchnorm_forward(x, np.ones(2), np.zeros(2), rm, rv, training=True, momentum=0.1)
+        ops.batchnorm_forward(x, np.ones(2), np.zeros(2), rm, rv, training=True)
         want_m = 0.1 * x.mean(axis=(0, 2, 3))
         want_v = 0.9 + 0.1 * x.var(axis=(0, 2, 3))
         assert np.allclose(rm, want_m, atol=1e-12)

@@ -189,19 +189,17 @@ class TestTape:
 
 
 def randomize_batchnorm(unit, rng):
-    """Non-trivial gamma, beta, running statistics and (if any) bias of a unit."""
+    """Non-trivial gamma, beta and running statistics of a unit."""
     c = unit.spec.out_channels
     unit.gamma.data[...] = rng.uniform(0.5, 1.5, c)
     unit.beta.data[...] = rng.standard_normal(c)
     unit.running_mean[...] = rng.standard_normal(c)
     unit.running_var[...] = rng.uniform(0.25, 4.0, c)
-    if unit.bias is not None:
-        unit.bias.data[...] = rng.standard_normal(c)
 
 
 def unfolded_call(unit, x, training):
     """Eval forward of a unit as convolution, then batch norm on running statistics."""
-    out = ops.conv2d(x, unit.kernel, unit.bias, unit.spec)
+    out = ops.conv2d(x, unit.kernel, None, unit.spec)
     return ops.batchnorm(out, unit.gamma, unit.beta, unit.running_mean, unit.running_var,
                          training, relu=unit.act)
 
@@ -220,15 +218,14 @@ class TestFoldedInference:
          (2, 6, 13, 12)),
         (ops.ConvSpec(3, 4, 4, stride=1, padding=3, dilation=3, mode="depthwise"),
          (3, 4, 9, 10)),
-        (ops.ConvSpec(1, 4, 7, mode="pointwise", has_bias=True), (2, 4, 5, 6)),
-    ], ids=["standard", "depthwise-d2-s2", "depthwise-d3", "pointwise-bias"])
+        (ops.ConvSpec(1, 4, 7, mode="pointwise"), (2, 4, 5, 6)),
+    ], ids=["standard", "depthwise-d2-s2", "depthwise-d3", "pointwise"])
     def test_unit_matches_conv_then_batchnorm(self, spec, shape, act):
         rng = np.random.default_rng(20)
         unit = _ConvUnit("unit", spec, rng, act=act)
         randomize_batchnorm(unit, rng)
         x = rng.standard_normal(shape)
-        conv = ops.conv2d_forward(x, unit.kernel.data,
-                                  None if unit.bias is None else unit.bias.data, spec)
+        conv = ops.conv2d_forward(x, unit.kernel.data, None, spec)
         want, _ = ops.batchnorm_forward(conv, unit.gamma.data, unit.beta.data,
                                         unit.running_mean.copy(), unit.running_var.copy(),
                                         training=False, relu=act)
