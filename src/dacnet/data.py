@@ -3,8 +3,10 @@
 A manifest is a CSV with header ``path,label,split``; paths are relative to
 the manifest's directory, labels come from the fixed 9-class set, splits are
 train/validation/test. Segments are expected to be 10 s at 16 kHz: longer
-files are center-cropped to exactly 10 s, anything more than one frame short
-is rejected, and multichannel audio uses channel 0 only.
+files are center-cropped to exactly 10 s, files up to one frame short are
+zero-padded at the end to exactly 10 s, anything shorter is rejected, and
+multichannel audio uses channel 0 only. Every segment thus gives the same
+number of frames.
 
 The feature cache lays out one "DACF" file per segment under
 ``<cache_root>/<config fingerprint>/<sha256(relative path)[:24]>.dacf`` so a
@@ -125,7 +127,7 @@ def write_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_segment(path: str | Path) -> np.ndarray:
-    """Read one audio segment, enforcing the 10 s / 16 kHz contract."""
+    """Read one audio segment as exactly ``SEGMENT_SAMPLES`` samples (10 s at 16 kHz)."""
     sr, samples = wav.read_wav(path)
     if sr != SAMPLE_RATE:
         raise DataError(f"{path}: sample rate {sr} Hz, expected {SAMPLE_RATE} Hz")
@@ -138,6 +140,8 @@ def load_segment(path: str | Path) -> np.ndarray:
     if samples.size > SEGMENT_SAMPLES:
         start = (samples.size - SEGMENT_SAMPLES) // 2
         samples = samples[start:start + SEGMENT_SAMPLES]
+    elif samples.size < SEGMENT_SAMPLES:
+        samples = np.pad(samples, (0, SEGMENT_SAMPLES - samples.size))
     return samples
 
 
@@ -294,10 +298,17 @@ class FeatureCache:
     def load_split(
         self, manifest: DatasetManifest, split: str
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Stack one split's features into (n, 3, mel, frames) plus labels."""
+        """One split's features as (n, 3, mel, frames) plus labels.
+
+        Each cache entry is read straight into its own slot; an entry of
+        another shape (a stale or foreign file) is a ``DataError``.
+        """
         rows = manifest.split(split)
         if not rows:
             raise DataError(f"manifest has no rows in split {split!r}")
-        values = [read_feature(self.path_for(row.path), self.fingerprint).values for row in rows]
+        frames = self.config.n_frames(SEGMENT_SAMPLES)
+        values = np.empty((len(rows), 3, self.config.mel_bins, frames), dtype="<f8")
+        for row, slot in zip(rows, values):
+            read_feature(self.path_for(row.path), self.fingerprint, out=slot)
         labels = np.array([r.label_index for r in rows], dtype=np.int64)
-        return np.stack(values), labels
+        return values, labels

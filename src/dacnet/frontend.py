@@ -95,16 +95,23 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft_power(audio: np.ndarray, config: FrontendConfig) -> np.ndarray:
-    """Windowed power spectrogram, shape (fft_bins, n_frames)."""
+    """Windowed power spectrogram, shape (fft_bins, n_frames).
+
+    The hop-strided frames are windowed straight into one zeroed
+    ``(frames, fft_size)`` buffer, so the FFT pads nothing, and the spectrum
+    is squared in place through its float64 (real, imaginary) view.
+    """
     audio = np.asarray(audio, dtype=np.float64)
     if audio.ndim != 1:
         raise ShapeError(f"stft_power expects 1-D audio, got {audio.ndim}-D")
     frame, hop = config.frame_samples, config.hop_samples
     frames = config.n_frames(audio.size)
-    idx = np.arange(frames)[:, None] * hop + np.arange(frame)[None, :]
-    segments = audio[idx] * hann_window(frame)[None, :]
-    spectrum = np.fft.rfft(segments, n=config.fft_size, axis=1)
-    return (spectrum.real ** 2 + spectrum.imag ** 2).T
+    windows = np.lib.stride_tricks.sliding_window_view(audio, frame)[::hop][:frames]
+    buffer = np.zeros((frames, config.fft_size))
+    np.multiply(windows, hann_window(frame), out=buffer[:, :frame])
+    parts = np.fft.rfft(buffer, axis=1).view(np.float64)
+    np.square(parts, out=parts)
+    return (parts[:, 0::2] + parts[:, 1::2]).T
 
 
 def hz_to_mel(f):
@@ -159,27 +166,30 @@ def mel_project_log(power: np.ndarray, config: FrontendConfig) -> np.ndarray:
     return np.log(np.maximum(filterbank @ power, config.log_floor))
 
 
-def delta(features: np.ndarray, window: int) -> np.ndarray:
-    """Regression delta over +/-window frames with edge replication."""
+def delta(features: np.ndarray, window: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Regression delta over +/-window frames with edge replication, into ``out`` if given."""
     if window < 1:
         raise ConfigError(f"delta window must be >= 1, got {window}")
-    pad = np.concatenate(
-        [np.repeat(features[:, :1], window, axis=1), features,
-         np.repeat(features[:, -1:], window, axis=1)],
-        axis=1,
-    )
-    frames = features.shape[1]
-    num = np.zeros_like(features)
+    rows, frames = features.shape
+    pad = np.empty((rows, frames + 2 * window))
+    pad[:, :window] = features[:, :1]
+    pad[:, window:window + frames] = features
+    pad[:, window + frames:] = features[:, -1:]
+    num = np.empty_like(features) if out is None else out
+    num[...] = 0.0
     for k in range(1, window + 1):
         num += k * (pad[:, window + k:window + k + frames] - pad[:, window - k:window - k + frames])
-    return num / (2.0 * sum(k * k for k in range(1, window + 1)))
+    num /= 2.0 * sum(k * k for k in range(1, window + 1))
+    return num
 
 
 def add_deltas(static: np.ndarray, window: int) -> np.ndarray:
     """Stack (static, delta, delta-delta) into a (3, mel_bins, n_frames) block."""
-    d1 = delta(static, window)
-    d2 = delta(d1, window)
-    return np.stack([static, d1, d2])
+    values = np.empty((3, *static.shape))
+    values[0] = static
+    delta(static, window, out=values[1])
+    delta(values[1], window, out=values[2])
+    return values
 
 
 def compute_features(audio: np.ndarray, config: FrontendConfig) -> LogMelFeature:
@@ -208,10 +218,11 @@ def write_feature(path: str | Path, feature: LogMelFeature) -> None:
     write_atomic(path, (header, values))
 
 
-def _check_header(path, header: bytes, size: int,
-                  expected_fingerprint: str | None) -> tuple[str, tuple[int, int, int]]:
-    """Validate a DACF header against the file's total size; return (fingerprint, shape)."""
-    if size < DACF_HEADER_BYTES or header[:4] != DACF_MAGIC:
+def _read_header(fh, path, expected_fingerprint: str | None) -> tuple[str, tuple[int, int, int]]:
+    """Validate the open DACF file's header against its size; return (fingerprint, shape)."""
+    header = fh.read(DACF_HEADER_BYTES)
+    size = os.fstat(fh.fileno()).st_size
+    if len(header) < DACF_HEADER_BYTES or header[:4] != DACF_MAGIC:
         raise DataError(f"{path}: not a DACF feature file")
     (version,) = struct.unpack_from("<B", header, 4)
     if version != DACF_VERSION:
@@ -232,14 +243,23 @@ def _check_header(path, header: bytes, size: int,
 def check_feature(path: str | Path, expected_fingerprint: str | None = None) -> None:
     """Validate a DACF file from its header and size alone, without reading the payload."""
     with open(path, "rb") as fh:
-        header = fh.read(DACF_HEADER_BYTES)
-        size = os.fstat(fh.fileno()).st_size
-    _check_header(path, header, size, expected_fingerprint)
+        _read_header(fh, path, expected_fingerprint)
 
 
-def read_feature(path: str | Path, expected_fingerprint: str | None = None) -> LogMelFeature:
-    raw = Path(path).read_bytes()
-    fingerprint, shape = _check_header(path, raw[:DACF_HEADER_BYTES], len(raw),
-                                       expected_fingerprint)
-    values = np.frombuffer(raw, dtype="<f8", offset=DACF_HEADER_BYTES).reshape(shape).copy()
-    return LogMelFeature(values=values, fingerprint=fingerprint)
+def read_feature(path: str | Path, expected_fingerprint: str | None = None,
+                 out: np.ndarray | None = None) -> LogMelFeature:
+    """Read a DACF file; the payload goes straight into ``out`` when given.
+
+    ``out`` must be a C-contiguous ``'<f8'`` array of the file's shape;
+    another shape is a ``DataError`` that names the file and both shapes.
+    """
+    with open(path, "rb") as fh:
+        fingerprint, shape = _read_header(fh, path, expected_fingerprint)
+        if out is None:
+            out = np.empty(shape, dtype="<f8")
+        elif out.shape != shape:
+            raise DataError(f"{path}: feature shape {shape} does not match expected {out.shape}")
+        got = fh.readinto(out)
+    if got != out.nbytes:
+        raise DataError(f"{path}: payload ended after {got} of {out.nbytes} bytes")
+    return LogMelFeature(values=out, fingerprint=fingerprint)

@@ -3,6 +3,9 @@
 Everything in this file is deliberately written as plain scalar loops with no
 shared code with the package under test, so that agreement between the two is
 meaningful. These were written before the vectorized implementations.
+The exceptions are ``stft_power_reference`` and ``compute_features_reference``:
+they keep the package's earlier copy-by-copy frontend in numpy, so that the
+in-place frontend can be held to bit-identity with it.
 """
 
 import math
@@ -99,6 +102,49 @@ def delta_reference(static, window):
                 acc += k * (right - left)
             out[i, t] = acc / denom
     return out
+
+
+def stft_power_reference(audio, config):
+    """Windowed power spectrogram, shape (fft_bins, n_frames), by index gather.
+
+    The package's original ``stft_power``: an index matrix gathers the
+    frames, which are windowed into a copy and zero-padded by ``rfft``.
+    """
+    audio = np.asarray(audio, dtype=np.float64)
+    frame, hop = config.frame_samples, config.hop_samples
+    frames = config.n_frames(audio.size)
+    idx = np.arange(frames)[:, None] * hop + np.arange(frame)[None, :]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    segments = audio[idx] * hann[None, :]
+    spectrum = np.fft.rfft(segments, n=config.fft_size, axis=1)
+    return (spectrum.real ** 2 + spectrum.imag ** 2).T
+
+
+def _delta_by_concatenation(features, window):
+    pad = np.concatenate(
+        [np.repeat(features[:, :1], window, axis=1), features,
+         np.repeat(features[:, -1:], window, axis=1)],
+        axis=1,
+    )
+    frames = features.shape[1]
+    num = np.zeros_like(features)
+    for k in range(1, window + 1):
+        num += k * (pad[:, window + k:window + k + frames] - pad[:, window - k:window - k + frames])
+    return num / (2.0 * sum(k * k for k in range(1, window + 1)))
+
+
+def compute_features_reference(audio, config, filterbank):
+    """The package's original log-Mel + delta pipeline, copy by copy.
+
+    Same arithmetic in the same order as the in-place pipeline, so the two
+    must agree bit for bit.
+    """
+    power = stft_power_reference(audio, config)
+    static = np.log(np.maximum(filterbank @ power, config.log_floor))
+    if config.channel_mode == "replicate":
+        return np.stack([static, static, static])
+    d1 = _delta_by_concatenation(static, config.delta_window)
+    return np.stack([static, d1, _delta_by_concatenation(d1, config.delta_window)])
 
 
 def batchnorm_eval_reference(x, gamma, beta, running_mean, running_var, eps):

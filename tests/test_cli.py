@@ -200,6 +200,38 @@ class TestExitCodes:
         rc = main(["train", "--data", str(test_only_corpus), "--out", str(out), *FAST])
         self.assert_data_error(rc, capsys, out, "train")
 
+    def test_slightly_short_segment_trains_and_stale_entry_is_3(self, tmp_path, capsys):
+        """A segment up to one frame short trains; a cache entry of another shape exits 3."""
+        import numpy as np
+        from dacnet import FrontendConfig, wav
+        from dacnet.data import FeatureCache, load_manifest
+        from dacnet.frontend import LogMelFeature, write_feature
+
+        corpus, cache_dir = tmp_path / "corpus", tmp_path / "cache"
+        assert main(["synth-data", "--out", str(corpus), "--train-per-class", "1",
+                     "--val-per-class", "0", "--test-per-class", "1", "--seed", "4"]) == 0
+        short = load_manifest(corpus / "manifest.csv").split("train")[0].path
+        _, samples = wav.read_wav(corpus / short)
+        wav.write_wav(corpus / short, 16000, samples[:159400])
+        common = ["--data", str(corpus), "--cache-dir", str(cache_dir)]
+        assert main(["features", *common]) == 0
+        assert main(["train", *common, "--out", str(tmp_path / "run"),
+                     "--max-epochs", "1", *FAST]) == 0
+
+        # the 498-frame entry that the short segment gave before it was padded
+        entry = FeatureCache(cache_dir, FrontendConfig()).path_for(short)
+        write_feature(entry, LogMelFeature(np.zeros((3, 28, 498)),
+                                           FrontendConfig().fingerprint()))
+        capsys.readouterr()
+        out = tmp_path / "stale"
+        rc = main(["train", *common, "--out", str(out), "--max-epochs", "1", *FAST])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"data error: {entry}: feature shape (3, 28, 498) does not match " \
+               "expected (3, 28, 499)" in err
+        assert "Traceback" not in err
+        assert out.with_name("stale.quarantined").exists()
+
     def test_nonempty_out_dir_is_2(self, corpus, tmp_path, capsys):
         out = tmp_path / "occupied"
         out.mkdir()

@@ -120,9 +120,15 @@ class TestSegmentLoading:
         assert out.max() > 0.4
 
     def test_slightly_short_accepted(self, tmp_path):
+        """Up to one frame short: zero-padded at the end, the samples unchanged at the front."""
         path = tmp_path / "short.wav"
-        wav.write_wav(path, 16000, np.zeros(160000 - 640))
-        assert load_segment(path).size == 160000 - 640
+        for n in (160000 - 640, 159400, 159999):
+            wav.write_wav(path, 16000, np.random.default_rng(n).uniform(0.1, 0.9, n))
+            _, original = wav.read_wav(path)
+            out = load_segment(path)
+            assert out.size == 160000
+            assert np.array_equal(out[:n], original)
+            assert not out[n:].any()
 
     def test_too_short_rejected(self, tmp_path):
         path = tmp_path / "tiny.wav"
@@ -230,6 +236,18 @@ class TestFeatureCache:
         stats = cache.ensure(manifest)
         assert stats.computed == 3
         assert [v.read_bytes() for v in victims] == good
+
+    def test_entry_of_another_shape_is_data_error(self, small_corpus):
+        """A valid entry with 498 frames (a stale cache) names the file and both shapes."""
+        from dacnet.frontend import LogMelFeature, write_feature
+        root, manifest = small_corpus
+        cache = FeatureCache(root / "cache7", FrontendConfig())
+        cache.ensure(manifest)
+        victim = cache.path_for(manifest.split("test")[1].path)
+        write_feature(victim, LogMelFeature(np.zeros((3, 28, 498)), cache.fingerprint))
+        with pytest.raises(DataError, match=rf"{victim.name}.*\(3, 28, 498\).*\(3, 28, 499\)"):
+            cache.load_split(manifest, "test")
+        assert cache.load_split(manifest, "train")[0].shape == (36, 3, 28, 499)
 
     def test_cached_equals_fresh(self, small_corpus):
         from dacnet.frontend import compute_features

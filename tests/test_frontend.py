@@ -1,11 +1,13 @@
 """Frontend arithmetic, filterbank construction, deltas, and the DACF format."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dacnet import DataError
 from dacnet import frontend as fe
-from oracles import delta_reference
+from oracles import compute_features_reference, delta_reference, stft_power_reference
 
 CFG = fe.FrontendConfig()
 
@@ -20,6 +22,15 @@ class TestFraming:
     def test_frame_count_law(self, n):
         frames = fe.stft_power(np.zeros(n), CFG).shape[1]
         assert frames == (n - 640) // 320 + 1
+
+    @pytest.mark.parametrize("n", [640, 641, 959, 960, 16000, 160000])
+    def test_matches_index_gather_reference(self, n):
+        """The strided in-place framing gives the index-gather spectrogram bit for bit."""
+        audio = np.random.default_rng(n).standard_normal(n)
+        got = fe.stft_power(audio, CFG)
+        want = stft_power_reference(audio, CFG)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides  # the mel projection sees the same layout
 
     def test_short_audio_rejected(self):
         with pytest.raises(DataError, match="shorter"):
@@ -113,6 +124,18 @@ class TestFullPipeline:
         b = fe.compute_features(audio.copy(), CFG).values
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("mode", fe.CHANNEL_MODES)
+    def test_bit_identical_to_reference_pipeline(self, mode):
+        from dacnet.data import SEGMENT_SAMPLES, _synthesize_segment
+        rng = np.random.default_rng(8)
+        for window in (1, 2, 3):
+            cfg = fe.FrontendConfig(channel_mode=mode, delta_window=window)
+            for audio in (_synthesize_segment(window, rng), rng.standard_normal(SEGMENT_SAMPLES),
+                          np.zeros(16000)):
+                got = fe.compute_features(audio, cfg).values
+                want = compute_features_reference(audio, cfg, fe.mel_filterbank(cfg))
+                assert got.tobytes() == want.tobytes()
+
     def test_replicate_channel_mode(self):
         cfg = fe.FrontendConfig(channel_mode="replicate")
         feat = fe.compute_features(np.ones(16000), cfg)
@@ -151,6 +174,36 @@ class TestDacfFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(DataError, match="payload"):
             fe.read_feature(path)
+
+    def test_read_into_out(self, tmp_path):
+        rng = np.random.default_rng(9)
+        feat = fe.LogMelFeature(rng.standard_normal((3, 4, 5)), "ab" * 16)
+        path = tmp_path / "x.dacf"
+        fe.write_feature(path, feat)
+        out = np.full((2, 3, 4, 5), np.nan)
+        back = fe.read_feature(path, "ab" * 16, out=out[1])
+        assert np.shares_memory(back.values, out)
+        assert np.array_equal(out[1], feat.values) and np.isnan(out[0]).all()
+        fe.write_feature(path, fe.LogMelFeature(np.zeros((3, 0, 5)), "ab" * 16))
+        assert fe.read_feature(path, out=np.empty((3, 0, 5))).values.shape == (3, 0, 5)
+
+    def test_read_into_wrong_shape_rejected(self, tmp_path):
+        path = tmp_path / "x.dacf"
+        fe.write_feature(path, fe.LogMelFeature(np.ones((3, 4, 5)), "ab" * 16))
+        with pytest.raises(DataError, match=r"x\.dacf.*\(3, 4, 5\).*\(3, 4, 6\)"):
+            fe.read_feature(path, out=np.empty((3, 4, 6)))
+
+    def test_read_into_short_payload_rejected(self, tmp_path, monkeypatch):
+        """A file cut short, or one that shrinks after its header was checked."""
+        path = tmp_path / "x.dacf"
+        fe.write_feature(path, fe.LogMelFeature(np.ones((3, 4, 5)), "ab" * 16))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])
+        with pytest.raises(DataError, match="payload"):
+            fe.read_feature(path, out=np.empty((3, 4, 5)))
+        monkeypatch.setattr(fe.os, "fstat", lambda fd: SimpleNamespace(st_size=len(raw)))
+        with pytest.raises(DataError, match="payload ended after 472 of 480 bytes"):
+            fe.read_feature(path, out=np.empty((3, 4, 5)))
 
     @pytest.mark.parametrize("damage", ["magic", "version", "fingerprint", "short", "long"])
     def test_header_check_agrees_with_full_read(self, tmp_path, damage):

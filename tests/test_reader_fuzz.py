@@ -1,0 +1,102 @@
+"""Fuzzing the file readers: truncated and bit-flipped DACF and WAV files.
+
+Whatever the damage, the readers may only raise ``DacnetError`` subclasses,
+which the CLI turns into documented exit codes; anything else is a stray
+traceback. What they return must still meet their contract.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dacnet import DacnetError, FrontendConfig, wav
+from dacnet.data import SEGMENT_SAMPLES, DatasetManifest, FeatureCache, ManifestRow, load_segment
+from dacnet.frontend import check_feature, compute_features, read_feature, write_feature
+
+CFG = FrontendConfig()
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """A valid 10 s WAV and the DACF cache entry it gives, as bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    audio = np.random.default_rng(0).uniform(-0.5, 0.5, SEGMENT_SAMPLES)
+    wav.write_wav(root / "a.wav", 16000, audio)
+    write_feature(root / "a.dacf", compute_features(load_segment(root / "a.wav"), CFG))
+    return root, (root / "a.wav").read_bytes(), (root / "a.dacf").read_bytes()
+
+
+@st.composite
+def damaged(draw, size):
+    """(kind, position, value): a cut, a flipped bit or a rewritten header byte.
+
+    Cuts and flips land anywhere, but half of them in the first 64 bytes,
+    where the headers are. A single flip cannot reach most field values (no
+    flip of 3 or 28 gives 0), so one header byte may also take any value.
+    """
+    kind = draw(st.sampled_from(["truncate", "flip", "byte"]))
+    if kind == "byte":
+        return kind, draw(st.integers(0, 63)), draw(st.integers(0, 255))
+    span = size if kind == "truncate" else 8 * size
+    head = 64 if kind == "truncate" else 8 * 64
+    return kind, draw(st.one_of(st.integers(0, head - 1), st.integers(0, span - 1))), None
+
+
+def damage(raw, kind, position, value):
+    if kind == "truncate":
+        return raw[:position]
+    out = bytearray(raw)
+    if kind == "byte":
+        out[position] = value
+    else:
+        out[position // 8] ^= 1 << (position % 8)
+    return bytes(out)
+
+
+def outcome(call):
+    try:
+        return call()
+    except DacnetError as exc:
+        return exc
+
+
+@FUZZ
+@given(st.data())
+def test_damaged_feature_files(originals, data):
+    root, _, good = originals
+    kind, position, value = data.draw(damaged(len(good)))
+    path = root / "fuzz.dacf"
+    path.write_bytes(damage(good, kind, position, value))
+
+    checked = outcome(lambda: check_feature(path, CFG.fingerprint()))
+    read = outcome(lambda: read_feature(path, CFG.fingerprint()))
+    assert isinstance(checked, DacnetError) == isinstance(read, DacnetError)
+    if isinstance(read, DacnetError):
+        assert str(checked) == str(read)
+    else:
+        assert read.values.shape == (3, CFG.mel_bins, CFG.n_frames(SEGMENT_SAMPLES))
+
+    cache = FeatureCache(root / "cache", CFG)
+    manifest = DatasetManifest(root=root, rows=[ManifestRow("a.wav", "Cooking", "train")])
+    cache.path_for("a.wav").write_bytes(path.read_bytes())
+    loaded = outcome(lambda: cache.load_split(manifest, "train"))
+    assert isinstance(loaded, DacnetError) == isinstance(read, DacnetError)
+    if not isinstance(loaded, DacnetError):
+        assert loaded[0][0].tobytes() == read.values.tobytes()
+
+
+@FUZZ
+@given(st.data())
+def test_damaged_wav_files(originals, data):
+    root, good, _ = originals
+    kind, position, value = data.draw(damaged(len(good)))
+    path = root / "fuzz.wav"
+    path.write_bytes(damage(good, kind, position, value))
+
+    outcome(lambda: wav.read_wav(path))
+    samples = outcome(lambda: load_segment(path))
+    if not isinstance(samples, DacnetError):
+        assert samples.shape == (SEGMENT_SAMPLES,) and samples.dtype == np.float64
+        assert compute_features(samples, CFG).values.shape[2] == CFG.n_frames(SEGMENT_SAMPLES)
