@@ -182,10 +182,8 @@ def _load_features(args, run, required, optional=()):
 
 def _train_one(run, data, seed, out_dir: Path, log_lines: list[str], max_epochs=None):
     """Shared by train and ablate: fit one model, write checkpoints + log."""
-    train_cfg = run.train
-    if max_epochs is not None:
-        train_cfg = replace(train_cfg, max_epochs=max_epochs)
-    train_cfg = replace(train_cfg, seed=seed)
+    epochs = {} if max_epochs is None else {"max_epochs": max_epochs}
+    train_cfg = replace(run.train, seed=seed, **epochs)
 
     xtr, ytr = data["train"]
     val = data.get("validation")

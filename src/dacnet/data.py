@@ -89,31 +89,34 @@ class DatasetManifest:
 def load_manifest(path: str | Path, check_files: bool = True) -> DatasetManifest:
     """Parse and validate a manifest CSV; errors carry the offending row number."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"manifest not found: {path}")
+    try:
+        text = path.read_bytes().decode()
+    except OSError as exc:
+        raise DataError(f"cannot read manifest {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: manifest is not UTF-8: {exc}") from exc
     rows: list[ManifestRow] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "label", "split"]:
-            raise DataError(f"{path}: expected header 'path,label,split', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            rel, label, split = (field.strip() for field in row)
-            if label not in LABELS:
-                raise DataError(f"{path}:{lineno}: unknown label {label!r}")
-            if split not in SPLITS:
-                raise DataError(f"{path}:{lineno}: unknown split {split!r}")
-            if rel in seen:
-                raise DataError(f"{path}:{lineno}: duplicate path {rel!r}")
-            seen.add(rel)
-            if check_files and not (path.parent / rel).exists():
-                raise DataError(f"{path}:{lineno}: missing audio file {rel!r}")
-            rows.append(ManifestRow(rel, label, split))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != ["path", "label", "split"]:
+        raise DataError(f"{path}: expected header 'path,label,split', got {header}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+        rel, label, split = (field.strip() for field in row)
+        if label not in LABELS:
+            raise DataError(f"{path}:{lineno}: unknown label {label!r}")
+        if split not in SPLITS:
+            raise DataError(f"{path}:{lineno}: unknown split {split!r}")
+        if rel in seen:
+            raise DataError(f"{path}:{lineno}: duplicate path {rel!r}")
+        seen.add(rel)
+        if check_files and not (path.parent / rel).exists():
+            raise DataError(f"{path}:{lineno}: missing audio file {rel!r}")
+        rows.append(ManifestRow(rel, label, split))
     return DatasetManifest(root=path.parent, rows=rows)
 
 

@@ -9,6 +9,7 @@ tooling by duck typing alone.
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -111,20 +112,20 @@ class DacNetClassifier(BaseEstimator):
         self.workers = workers
 
     def _configs(self) -> tuple[NetworkConfig, TrainConfig]:
-        network = self.network
-        if network is None:
-            network = load_preset("toy").network
-        elif isinstance(network, dict):
-            network = NetworkConfig.from_dict(network)
-        train_cfg = self.train
-        if train_cfg is None:
-            train_cfg = load_preset("toy").train
-        elif isinstance(train_cfg, dict):
-            train_cfg = TrainConfig.from_dict(train_cfg)
-        if self.max_epochs is not None:
-            train_cfg = TrainConfig(**{**train_cfg.__dict__, "max_epochs": self.max_epochs})
-        train_cfg = TrainConfig(**{**train_cfg.__dict__, "seed": self.seed})
-        return network, train_cfg
+        configs = []
+        for name, cls in (("network", NetworkConfig), ("train", TrainConfig)):
+            value = getattr(self, name)
+            if value is None:
+                value = getattr(load_preset("toy"), name)
+            elif isinstance(value, dict):
+                value = cls.from_dict(value)
+            elif not isinstance(value, cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}, a dict or None, "
+                                  f"not {type(value).__name__}")
+            configs.append(value)
+        network, train_cfg = configs
+        epochs = {} if self.max_epochs is None else {"max_epochs": self.max_epochs}
+        return network, replace(train_cfg, seed=self.seed, **epochs)
 
     def fit(self, X, y) -> "DacNetClassifier":
         network, train_cfg = self._configs()

@@ -12,13 +12,14 @@ both the executable :class:`Model` and the analytic cost walk in
 :mod:`dacnet.complexity` are derived from it.
 
 Model files ("DACM") are: magic "DACM", a version byte, a little-endian
-uint32 length plus that many bytes of config JSON, then every parameter in
-declaration order as little-endian float64.
+uint32 length plus that many bytes of config JSON, then ``Model.arena``: every
+parameter in declaration order, then every unit's running statistics, float64.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
@@ -241,29 +242,31 @@ def receptive_field(config: NetworkConfig, upto_instance: Optional[int] = None) 
 # ---------------------------------------------------------------------------
 
 
+def _he_normal(rng: np.random.Generator, out: np.ndarray, fan_in: int) -> None:
+    """Fill ``out`` from N(0, 2 / fan_in) in place, bit-identical to ``rng.normal``."""
+    rng.standard_normal(out=out)
+    out *= np.sqrt(2.0 / fan_in)
+
+
 class _ConvUnit:
     """Convolution plus batch norm (and optionally ReLU), owning its parameters.
 
     The convolution has no bias: batch norm's mean subtraction would cancel it.
+    The arrays are allocated uninitialized; the model packs and fills them.
     """
 
     bn = True  # every unit normalizes; kept readable for code that inspects units
 
-    def __init__(self, name: str, spec: ConvSpec, rng: np.random.Generator, act: bool = True):
+    def __init__(self, name: str, spec: ConvSpec, act: bool = True):
         self.name = name
         self.spec = spec
         self.act = act
-        kh = spec.kernel_shape()
-        if spec.mode == "depthwise":
-            fan_in = spec.kernel_size ** 2
-        else:
-            fan_in = spec.in_channels * spec.kernel_size ** 2
-        self.kernel = Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), kh), requires_grad=True)
         c = spec.out_channels
-        self.gamma = Tensor(np.ones(c), requires_grad=True)
-        self.beta = Tensor(np.zeros(c), requires_grad=True)
-        self.running_mean = np.zeros(c, dtype=DTYPE)
-        self.running_var = np.ones(c, dtype=DTYPE)
+        self.kernel = Tensor(np.empty(spec.kernel_shape()), requires_grad=True)
+        self.gamma = Tensor(np.empty(c), requires_grad=True)
+        self.beta = Tensor(np.empty(c), requires_grad=True)
+        self.running_mean = np.empty(c, dtype=DTYPE)
+        self.running_var = np.empty(c, dtype=DTYPE)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if not training:
@@ -283,17 +286,14 @@ class _ConvUnit:
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.gamma", self.gamma),
                 (f"{self.name}.beta", self.beta)]
 
-    def buffers(self) -> list[np.ndarray]:
-        return [self.running_mean, self.running_var]
-
 
 class _Block:
-    def __init__(self, name: str, inst: InstanceSpec, residual: bool, rng: np.random.Generator):
+    def __init__(self, name: str, inst: InstanceSpec, residual: bool):
         expand, depthwise, project = instance_conv_specs(inst)
         self.name = name
-        self.expand = _ConvUnit(f"{name}.expand", expand, rng)
-        self.depthwise = _ConvUnit(f"{name}.depthwise", depthwise, rng)
-        self.project = _ConvUnit(f"{name}.project", project, rng, act=False)
+        self.expand = _ConvUnit(f"{name}.expand", expand)
+        self.depthwise = _ConvUnit(f"{name}.depthwise", depthwise)
+        self.project = _ConvUnit(f"{name}.project", project, act=False)
         self.residual = residual and inst.stride == 1 and inst.in_channels == inst.out_channels
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
@@ -318,53 +318,63 @@ class MultiScaleEmbedding:
     embedding: np.ndarray
 
 
-class _Unfilled:
-    """Stands in for the weight generator when a checkpoint overwrites every weight.
-
-    ``Model.load`` passes this class as the seed, so the model is built by
-    the one constructor but its weights are left uninitialized, not drawn.
-    """
-
-    @staticmethod
-    def normal(loc: float, scale: float, size: tuple[int, ...]) -> np.ndarray:
-        return np.empty(size, dtype=DTYPE)
+_UNFILLED = object()  # seed of a model whose arena a checkpoint fills: nothing is drawn
 
 
 class Model:
-    """Parameter set plus execution plan for one NetworkConfig."""
+    """Parameter set plus execution plan for one NetworkConfig; ``arena`` holds the state."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
         config.validate()
         self.config = config
-        rng = seed if seed is _Unfilled else np.random.default_rng(seed)
-        self.stem = _ConvUnit("stem", stem_conv_spec(config), rng)
+        self.stem = _ConvUnit("stem", stem_conv_spec(config))
         self.blocks = [
-            _Block(f"block{i}", inst, config.residual_enabled, rng)
+            _Block(f"block{i}", inst, config.residual_enabled)
             for i, inst in enumerate(config.instances())
         ]
         self.taps = config.tap_indices()
         tap_channels = config.instances()[self.taps[0]].out_channels
         self.heads = [
-            _ConvUnit(f"head{j}", head_conv_spec(config, tap_channels), rng)
+            _ConvUnit(f"head{j}", head_conv_spec(config, tap_channels))
             for j in range(len(self.taps))
         ]
-        embed_width = config.mse_projection_channels * len(self.taps)
+        classifier_in = embed_width = config.mse_projection_channels * len(self.taps)
+        self.fc_hidden = self.fc_hidden_bias = None
         if config.literal_fc_head:
-            self.fc_hidden = Tensor(
-                rng.normal(0.0, np.sqrt(2.0 / embed_width), (embed_width, config.fc_neurons)),
-                requires_grad=True,
-            )
-            self.fc_hidden_bias = Tensor(np.zeros(config.fc_neurons), requires_grad=True)
+            self.fc_hidden = Tensor(np.empty((embed_width, config.fc_neurons)), requires_grad=True)
+            self.fc_hidden_bias = Tensor(np.empty(config.fc_neurons), requires_grad=True)
             classifier_in = config.fc_neurons
-        else:
-            self.fc_hidden = None
-            self.fc_hidden_bias = None
-            classifier_in = embed_width
-        self.classifier = Tensor(
-            rng.normal(0.0, np.sqrt(2.0 / classifier_in), (classifier_in, config.num_classes)),
-            requires_grad=True,
-        )
-        self.classifier_bias = Tensor(np.zeros(config.num_classes), requires_grad=True)
+        self.classifier = Tensor(np.empty((classifier_in, config.num_classes)), requires_grad=True)
+        self.classifier_bias = Tensor(np.empty(config.num_classes), requires_grad=True)
+        self.arena = self._pack()
+        if seed is not _UNFILLED:
+            self._initialize(np.random.default_rng(seed))
+
+    def _pack(self) -> np.ndarray:
+        """Rebind every parameter, then every running statistic, to a slice of one new array."""
+        slots = [(t, "data") for _, t in self.parameters()]
+        slots += [(unit, name) for unit in self.units() for name in ("running_mean", "running_var")]
+        arrays = [getattr(owner, name) for owner, name in slots]
+        arena = np.empty(sum(a.size for a in arrays), dtype="<f8")
+        offset = 0
+        for (owner, name), a in zip(slots, arrays):
+            setattr(owner, name, arena[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
+        return arena
+
+    def _initialize(self, rng: np.random.Generator) -> None:
+        """He-normal weights drawn in declaration order, zero biases, identity batch norm."""
+        for unit in self.units():
+            # fan-in: the kernel weights feeding one output channel
+            _he_normal(rng, unit.kernel.data, unit.kernel.size // unit.spec.out_channels)
+            for array, value in ((unit.gamma.data, 1.0), (unit.beta.data, 0.0),
+                                 (unit.running_mean, 0.0), (unit.running_var, 1.0)):
+                array.fill(value)
+        for weight, bias in ((self.fc_hidden, self.fc_hidden_bias),
+                             (self.classifier, self.classifier_bias)):
+            if weight is not None:
+                _he_normal(rng, weight.data, weight.shape[0])
+                bias.data.fill(0.0)
 
     # -- parameters ----------------------------------------------------------
 
@@ -450,51 +460,38 @@ class Model:
 
     def save(self, path: str | Path) -> None:
         config_blob = self.config.to_json().encode()
-        parts = [DACM_MAGIC, struct.pack("<B", DACM_VERSION),
-                 struct.pack("<I", len(config_blob)), config_blob]
-        for _, t in self.parameters():
-            parts.append(np.ascontiguousarray(t.data, dtype="<f8"))
-        for buf in self._bn_buffers():
-            parts.append(np.ascontiguousarray(buf, dtype="<f8"))
-        write_atomic(path, parts)
-
-    def _bn_buffers(self) -> list[np.ndarray]:
-        out = []
-        for unit in self.units():
-            out.extend(unit.buffers())
-        return out
+        header = DACM_MAGIC + struct.pack("<BI", DACM_VERSION, len(config_blob)) + config_blob
+        write_atomic(path, [header, self.arena])
 
     @staticmethod
     def load(path: str | Path) -> "Model":
-        raw = Path(path).read_bytes()
-        if len(raw) < 9 or raw[:4] != DACM_MAGIC:
-            raise DataError(f"{path}: not a DACM model file")
-        (version,) = struct.unpack_from("<B", raw, 4)
-        if version != DACM_VERSION:
-            raise DataError(f"{path}: unsupported DACM version {version}")
-        (cfg_len,) = struct.unpack_from("<I", raw, 5)
+        """Read a DACM file, each length checked against the file's size first, into an arena."""
         try:
-            config = NetworkConfig.from_json(raw[9:9 + cfg_len].decode())
-            model = Model(config, seed=_Unfilled)
-        except (ValueError, TypeError, ConfigError) as exc:  # json and UTF-8 errors are ValueErrors
-            raise DataError(f"{path}: corrupt network config: {exc}") from exc
-        offset = 9 + cfg_len
-        for name, t in model.parameters():
-            nbytes = t.size * 8
-            if offset + nbytes > len(raw):
-                raise DataError(f"{path}: truncated at parameter {name}")
-            t.data[...] = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").reshape(
-                t.data.shape
-            )
-            offset += nbytes
-        for buf in model._bn_buffers():
-            nbytes = buf.size * 8
-            if offset + nbytes > len(raw):
-                raise DataError(f"{path}: truncated batch-norm state")
-            buf[...] = np.frombuffer(raw[offset:offset + nbytes], dtype="<f8").reshape(buf.shape)
-            offset += nbytes
-        if offset != len(raw):
-            raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
+            fh = open(path, "rb")
+        except OSError as exc:
+            raise DataError(f"cannot open model file {path}: {exc.strerror}") from exc
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(9)
+            if len(head) < 9 or head[:4] != DACM_MAGIC:
+                raise DataError(f"{path}: not a DACM model file")
+            version, cfg_len = struct.unpack_from("<BI", head, 4)
+            if version != DACM_VERSION:
+                raise DataError(f"{path}: unsupported DACM version {version}")
+            if 9 + cfg_len > size:
+                raise DataError(f"{path}: truncated in the network config")
+            try:
+                config = NetworkConfig.from_json(fh.read(cfg_len).decode())
+                model = Model(config, seed=_UNFILLED)
+            except (ValueError, TypeError, RecursionError, ConfigError) as exc:
+                raise DataError(f"{path}: corrupt network config: {exc}") from exc
+            payload, expected = size - 9 - cfg_len, model.arena.nbytes
+            if payload != expected:
+                problem = "truncated" if payload < expected else "trailing bytes"
+                raise DataError(f"{path}: {problem}: {payload} payload bytes, expected {expected}")
+            got = fh.readinto(model.arena)
+        if got != expected:
+            raise DataError(f"{path}: payload ended after {got} of {expected} bytes")
         return model
 
 

@@ -66,12 +66,11 @@ def load_preset(name: str) -> RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_bytes())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

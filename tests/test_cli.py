@@ -168,6 +168,45 @@ class TestExitCodes:
         assert rc == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, reason", [
+        ("missing.dacm", "No such file or directory"),
+        (".", "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_eval_unreadable_model_is_3(self, corpus, tmp_path, capsys, model, reason):
+        path = tmp_path / model
+        rc = main(["eval", "--model", str(path), "--data", str(corpus),
+                   "--out", str(tmp_path / "eval"), *FAST])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"data error: cannot open model file {path}: {reason}" in err
+        assert "Traceback" not in err
+
+    def test_config_directory_is_2(self, tmp_path, capsys):
+        rc = main(["analyze", "--config", str(tmp_path)])
+        self.assert_config_error(rc, capsys, f"cannot read config file {tmp_path}: Is a directory")
+
+    def test_config_nested_too_deep_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        rc = main(["analyze", "--config", str(path)])
+        self.assert_config_error(rc, capsys, f"{path}: invalid JSON: maximum recursion depth")
+
+    @pytest.mark.parametrize("damage, message", [
+        ("directory", "cannot read manifest {}: Is a directory"),
+        ("latin-1", "{}: manifest is not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    ])
+    def test_unreadable_manifest_is_3(self, tmp_path, capsys, damage, message):
+        manifest = tmp_path / "manifest.csv"
+        if damage == "directory":
+            manifest.mkdir()
+        else:
+            manifest.write_bytes("path,label,split\ncaf\u00e9.wav,Cooking,train\n".encode("latin-1"))
+        rc = main(["features", "--data", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"data error: {message.format(manifest)}" in err
+        assert "Traceback" not in err
+
     @pytest.fixture(scope="class")
     def test_only_corpus(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("test_only") / "corpus"

@@ -136,6 +136,23 @@ class TestDacNetClassifier:
         with pytest.raises(ConfigError, match="unknown keys residual_enabld"):
             clf.fit(np.zeros((4, 3, 28, 12)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"network": "toy"}, "network must be a NetworkConfig, a dict or None, not str"),
+        ({"train": [1]}, "train must be a TrainConfig, a dict or None, not list"),
+    ], ids=["network", "train"])
+    def test_config_of_another_type_rejected(self, kwargs, message):
+        clf = DacNetClassifier(**kwargs)
+        with pytest.raises(ConfigError, match=message):
+            clf.fit(np.zeros((4, 3, 28, 12)), np.zeros(4, dtype=int))
+
+    def test_max_epochs_and_seed_override_train_config(self):
+        clf = DacNetClassifier(train={"batch_size": 4, "max_epochs": 5, "seed": 1},
+                               max_epochs=2, seed=7)
+        _, train_cfg = clf._configs()
+        assert train_cfg == TrainConfig(batch_size=4, max_epochs=2, seed=7)
+        _, train_cfg = clf.set_params(max_epochs=None)._configs()
+        assert train_cfg == TrainConfig(batch_size=4, max_epochs=5, seed=7)
+
     def test_feature_validation(self):
         clf = DacNetClassifier(network=tiny_network(), max_epochs=1)
         with pytest.raises(ShapeError, match="4-D"):

@@ -222,7 +222,8 @@ class TestFoldedInference:
     ], ids=["standard", "depthwise-d2-s2", "depthwise-d3", "pointwise"])
     def test_unit_matches_conv_then_batchnorm(self, spec, shape, act):
         rng = np.random.default_rng(20)
-        unit = _ConvUnit("unit", spec, rng, act=act)
+        unit = _ConvUnit("unit", spec, act=act)
+        unit.kernel.data[...] = rng.standard_normal(spec.kernel_shape())
         randomize_batchnorm(unit, rng)
         x = rng.standard_normal(shape)
         conv = ops.conv2d_forward(x, unit.kernel.data, None, spec)
@@ -396,6 +397,15 @@ class TestSerialization:
         with pytest.raises(DataError, match="corrupt network config"):
             Model.load(path)
 
+    def test_config_nested_too_deep_is_data_error(self, tmp_path):
+        import struct
+        from dacnet import DataError
+        blob = b"[" * 100000
+        path = tmp_path / "model.dacm"
+        path.write_bytes(b"DACM" + struct.pack("<BI", 1, len(blob)) + blob)
+        with pytest.raises(DataError, match="corrupt network config: maximum recursion depth"):
+            Model.load(path)
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_save_leaves_no_partial_file(self, tmp_path, monkeypatch, existing):
         from dacnet import fileio
@@ -411,6 +421,54 @@ class TestSerialization:
         assert [p.name for p in tmp_path.iterdir()] == (["model.dacm"] if existing else [])
         if existing:
             assert path.read_bytes() == before
+
+
+def running_statistics(model):
+    for unit in model.units():
+        yield from (unit.running_mean, unit.running_var)
+
+
+@pytest.fixture(params=["toy", "literal_fc_head"])
+def arena_model(request):
+    """A model of the toy preset or a dense-head config, trained for two steps."""
+    from dacnet.training import TrainConfig, train
+    config = load_preset("toy").network
+    if request.param == "literal_fc_head":
+        config = mini_config(literal_fc_head=True, fc_neurons=12)
+    model = build_network(config, 3)
+    assert_in_arena(model)
+    x = np.random.default_rng(4).standard_normal((4, 3, 28, 64))
+    train(model, x, np.array([0, 1, 2, 3]), TrainConfig(batch_size=2, max_epochs=1))
+    return model
+
+
+def assert_in_arena(model):
+    arrays = [t.data for _, t in model.parameters()] + list(running_statistics(model))
+    assert all(np.shares_memory(a, model.arena) for a in arrays)
+
+
+class TestArena:
+    """Every parameter and running statistic is a view of ``Model.arena``."""
+
+    def test_views_after_construction_training_and_load(self, arena_model, tmp_path):
+        assert_in_arena(arena_model)
+        arena_model.save(tmp_path / "model.dacm")
+        assert_in_arena(Model.load(tmp_path / "model.dacm"))
+
+    def test_size_is_parameters_and_two_statistics_per_channel(self, arena_model):
+        channels = sum(unit.spec.out_channels for unit in arena_model.units())
+        assert arena_model.arena.size == arena_model.parameter_count() + 2 * channels
+
+    def test_checkpoint_is_header_parameters_then_statistics(self, arena_model, tmp_path):
+        import struct
+        path = tmp_path / "model.dacm"
+        arena_model.save(path)
+        blob = arena_model.config.to_json().encode()
+        arrays = [t.data for _, t in arena_model.parameters()]
+        arrays += running_statistics(arena_model)
+        want = b"DACM" + struct.pack("<BI", 1, len(blob)) + blob
+        want += b"".join(a.astype("<f8").tobytes() for a in arrays)
+        assert path.read_bytes() == want
 
 
 class TestCapacity:

@@ -1,4 +1,4 @@
-"""Fuzzing the file readers: truncated and bit-flipped DACF and WAV files.
+"""Fuzzing the file readers: truncated and bit-flipped DACF, WAV, DACM and manifest files.
 
 Whatever the damage, the readers may only raise ``DacnetError`` subclasses,
 which the CLI turns into documented exit codes; anything else is a stray
@@ -10,9 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dacnet import DacnetError, FrontendConfig, wav
-from dacnet.data import SEGMENT_SAMPLES, DatasetManifest, FeatureCache, ManifestRow, load_segment
+from dacnet import BlockSpec, DacnetError, FrontendConfig, NetworkConfig, build_network, wav
+from dacnet.data import (
+    LABELS,
+    SEGMENT_SAMPLES,
+    SPLITS,
+    DatasetManifest,
+    FeatureCache,
+    ManifestRow,
+    load_manifest,
+    load_segment,
+    write_manifest,
+)
 from dacnet.frontend import check_feature, compute_features, read_feature, write_feature
+from dacnet.network import Model
 
 CFG = FrontendConfig()
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -100,3 +111,54 @@ def test_damaged_wav_files(originals, data):
     if not isinstance(samples, DacnetError):
         assert samples.shape == (SEGMENT_SAMPLES,) and samples.dtype == np.float64
         assert compute_features(samples, CFG).values.shape[2] == CFG.n_frames(SEGMENT_SAMPLES)
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A directory and the bytes of a DACM file of a small network."""
+    config = NetworkConfig(stem_channels=4, blocks=(BlockSpec(4, 4, 1, 1, 1, 2),
+                                                    BlockSpec(4, 4, 1, 2, 1, 2)),
+                           mse_projection_channels=4)
+    root = tmp_path_factory.mktemp("fuzz")
+    build_network(config, 0).save(root / "model.dacm")
+    return root, (root / "model.dacm").read_bytes()
+
+
+@FUZZ
+@given(st.data())
+def test_damaged_checkpoints(checkpoint, data):
+    root, good = checkpoint
+    kind, position, value = data.draw(damaged(len(good)))
+    path = root / "fuzz.dacm"
+    raw = damage(good, kind, position, value)
+    path.write_bytes(raw)
+
+    model = outcome(lambda: Model.load(path))
+    if not isinstance(model, DacnetError):
+        assert model.arena.tobytes() == raw[len(raw) - model.arena.nbytes:]
+
+
+@pytest.fixture(scope="module")
+def manifest_file(tmp_path_factory):
+    """A manifest of three existing segments, as (directory, bytes)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rows = [ManifestRow(f"s{i}.wav", LABELS[i], SPLITS[i]) for i in range(3)]
+    for row in rows:
+        (root / row.path).touch()
+    write_manifest(DatasetManifest(root, rows), root / "manifest.csv")
+    return root, (root / "manifest.csv").read_bytes()
+
+
+@FUZZ
+@given(st.data())
+def test_damaged_manifests(manifest_file, data):
+    root, good = manifest_file
+    kind, position, value = data.draw(damaged(len(good)))
+    path = root / "manifest.csv"
+    path.write_bytes(damage(good, kind, position, value))
+
+    manifest = outcome(lambda: load_manifest(path))
+    if not isinstance(manifest, DacnetError):
+        assert manifest.root == root
+        for row in manifest.rows:
+            assert (root / row.path).exists() and row.label in LABELS and row.split in SPLITS
