@@ -32,6 +32,7 @@ from .complexity import (
 )
 from .data import (
     LABELS,
+    SEGMENT_SAMPLES,
     FeatureCache,
     SyntheticSpec,
     generate_synthetic,
@@ -108,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analytic parameter/MAC report",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--frames", type=int, default=499,
-                   help="time frames of the analyzed input")
+    p.add_argument("--frames", type=int, default=None,
+                   help="time frames of the analyzed input; unset, those of one "
+                        "10 s segment under the run's frontend")
     p.add_argument("--json-out", type=Path, default=None, help="also write JSON here")
     _add_config(p)
     _add_common(p)
@@ -275,7 +277,8 @@ def cmd_analyze(args) -> None:
     from .presets import load_preset
 
     run = _resolve(args)
-    input_shape = (1, run.network.input_channels, run.frontend.mel_bins, args.frames)
+    frames = run.frontend.n_frames(SEGMENT_SAMPLES) if args.frames is None else args.frames
+    input_shape = (1, run.network.input_channels, run.frontend.mel_bins, frames)
     report = analyze_network(run.network, input_shape)
     full_params = build_network(run.network, seed=args.seed).parameter_count()
     if full_params != report.total_params:

@@ -51,10 +51,16 @@ folds into the preceding convolution's kernel and a bias
 (:func:`fold_batchnorm`), so a layer runs one convolution and no separate
 normalization pass.
 
-Raw kernels (``*_forward`` / ``*_backward``) operate on numpy arrays. The
-lowercase wrappers (``conv2d``, ``relu``, ...) operate on
-:class:`~dacnet.tensor.Tensor` values and record their adjoints on the
-innermost active :class:`~dacnet.tensor.GradientTape`.
+The taped ops (``conv2d``, ``batchnorm``, ``relu``, ...) operate on
+:class:`~dacnet.tensor.Tensor` values. Each computes its output and states
+its gradients as a function of the output gradient; :func:`_taped` records
+that function on the innermost active :class:`~dacnet.tensor.GradientTape`
+and routes every gradient to its input, so no op decides for itself which
+inputs get one or who owns the array. Convolution and batch norm keep raw
+numpy kernels (``conv2d_forward`` / ``conv2d_backward``,
+``batchnorm_forward`` / ``batchnorm_backward``, with :func:`fold_batchnorm`
+and :func:`log_softmax`), because inference runs them without a tape and the
+tests check them directly; every other op is written out inside its taped op.
 """
 
 from __future__ import annotations
@@ -575,28 +581,89 @@ def batchnorm_backward(output_grad: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise layers, pooling, linear, loss
+# Taped operations on Tensors
 # ---------------------------------------------------------------------------
 
 
-def global_avg_pool_forward(x: np.ndarray) -> np.ndarray:
+def _taped(data: np.ndarray, inputs: Sequence[Optional[Tensor]], grads) -> Tensor:
+    """Wrap ``data`` as the output of an op on ``inputs`` and record its adjoint.
+
+    On an open tape, when some input needs a gradient, one closure is
+    recorded. It calls ``grads(gout, need)`` for one gradient per input
+    (``need[i]`` says whether input i wants one; a ``None`` input never
+    does) and adds each needed one into its input, which adopts the array
+    without a copy unless it is ``gout`` itself, still held by the output.
+    """
+    out = Tensor(data)
+    tape = GradientTape.active()
+    if tape is not None and any(need := [t is not None and t.needs_grad() for t in inputs]):
+        def backward(gout: np.ndarray) -> None:
+            for t, wanted, g in zip(inputs, need, grads(gout, need)):
+                if wanted:
+                    t.accumulate_grad(g, own=g is not gout)
+
+        tape.record(out, backward)
+    return out
+
+
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor], spec: ConvSpec) -> Tensor:
+    out = conv2d_forward(x.data, kernel.data, None if bias is None else bias.data, spec)
+    return _taped(out, (x, kernel, bias), lambda gout, need: conv2d_backward(
+        gout, x.data, kernel.data, spec, need_input_grad=need[0], need_bias_grad=need[2]))
+
+
+def batchnorm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    relu: bool = False,
+) -> Tensor:
+    """Batch normalization, optionally followed by ReLU as one taped operation."""
+    out, cache = batchnorm_forward(
+        x.data, gamma.data, beta.data, running_mean, running_var, training, relu,
+    )
+    return _taped(out, (x, gamma, beta), lambda gout, need: batchnorm_backward(gout, cache))
+
+
+def relu(x: Tensor) -> Tensor:
+    out = np.maximum(x.data, 0.0)
+    return _taped(out, (x,), lambda gout, need: (gout * (out > 0),))
+
+
+def global_avg_pool(x: Tensor) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"global_avg_pool expects a 4-D input, got {x.ndim}-D")
-    return x.mean(axis=(2, 3))
+    _, _, h, w = x.shape
+
+    def grads(gout, need):
+        g = np.empty_like(x.data)
+        g[...] = gout[:, :, None, None] / (h * w)
+        return (g,)
+
+    return _taped(x.data.mean(axis=(2, 3)), (x,), grads)
 
 
-def linear_forward(x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray]) -> np.ndarray:
+def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
     if x.ndim != 2:
         raise ShapeError(f"linear expects a 2-D input, got {x.ndim}-D")
     if x.shape[1] != weight.shape[0]:
         raise ShapeError(
             f"linear input features {x.shape[1]} do not match weight rows {weight.shape[0]}"
         )
-    out = x @ weight
+    out = x.data @ weight.data
     _tally(x.shape[0] * weight.shape[0] * weight.shape[1])
     if bias is not None:
-        out = out + bias
-    return out
+        out = out + bias.data
+
+    def grads(gout, need):
+        return (gout @ weight.data.T if need[0] else None,
+                x.data.T @ gout if need[1] else None,
+                gout.sum(axis=0) if need[2] else None)
+
+    return _taped(out, (x, weight, bias), grads)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -605,7 +672,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def softmax_cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy over :func:`log_softmax`.
 
     Returns ``(loss, probs)``; the gradient of ``loss`` with respect to the
@@ -620,156 +687,36 @@ def softmax_cross_entropy_forward(logits: np.ndarray, labels: np.ndarray):
     if labels.min() < 0 or labels.max() >= c:
         bad = int(labels[(labels < 0) | (labels >= c)][0])
         raise ConfigError(f"label {bad} outside [0, {c})")
-    log_probs = log_softmax(logits)
-    loss = -log_probs[np.arange(b), labels].mean()
-    return loss, np.exp(log_probs)
+    log_probs = log_softmax(logits.data)
+    probs = np.exp(log_probs)
 
-
-# ---------------------------------------------------------------------------
-# Taped operations on Tensors
-# ---------------------------------------------------------------------------
-
-
-def _maybe_record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
-    tape = GradientTape.active()
-    if tape is not None and any(t.needs_grad() for t in inputs):
-        tape.record(out, backward)
-    return out
-
-
-def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor], spec: ConvSpec) -> Tensor:
-    out = Tensor(conv2d_forward(x.data, kernel.data, bias.data if bias is not None else None, spec))
-    need_x = x.needs_grad()
-    need_b = bias is not None and bias.needs_grad()
-
-    def backward(gout: np.ndarray) -> None:
-        gx, gk, gb = conv2d_backward(
-            gout, x.data, kernel.data, spec,
-            need_input_grad=need_x, need_bias_grad=need_b,
-        )
-        if need_x:
-            x.accumulate_grad(gx, own=True)
-        if kernel.needs_grad():
-            kernel.accumulate_grad(gk, own=True)
-        if need_b:
-            bias.accumulate_grad(gb, own=True)
-
-    inputs = [x, kernel] if bias is None else [x, kernel, bias]
-    return _maybe_record(out, inputs, backward)
-
-
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    relu: bool = False,
-) -> Tensor:
-    """Batch normalization, optionally followed by ReLU as one taped operation."""
-    out_data, cache = batchnorm_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var, training, relu,
-    )
-    out = Tensor(out_data)
-
-    def backward(gout: np.ndarray) -> None:
-        dx, dgamma, dbeta = batchnorm_backward(gout, cache)
-        if x.needs_grad():
-            x.accumulate_grad(dx, own=True)
-        if gamma.needs_grad():
-            gamma.accumulate_grad(dgamma, own=True)
-        if beta.needs_grad():
-            beta.accumulate_grad(dbeta, own=True)
-
-    return _maybe_record(out, [x, gamma, beta], backward)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-
-    def backward(gout: np.ndarray) -> None:
-        x.accumulate_grad(gout * (out.data > 0), own=True)
-
-    return _maybe_record(out, [x], backward)
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    out = Tensor(global_avg_pool_forward(x.data))
-    _, _, h, w = x.data.shape
-
-    def backward(gout: np.ndarray) -> None:
-        g = np.empty_like(x.data)
-        g[...] = gout[:, :, None, None] / (h * w)
-        x.accumulate_grad(g, own=True)
-
-    return _maybe_record(out, [x], backward)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    out = Tensor(linear_forward(x.data, weight.data, bias.data if bias is not None else None))
-
-    def backward(gout: np.ndarray) -> None:
-        if x.needs_grad():
-            x.accumulate_grad(gout @ weight.data.T, own=True)
-        if weight.needs_grad():
-            weight.accumulate_grad(x.data.T @ gout, own=True)
-        if bias is not None and bias.needs_grad():
-            bias.accumulate_grad(gout.sum(axis=0), own=True)
-
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _maybe_record(out, inputs, backward)
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    loss_val, probs = softmax_cross_entropy_forward(logits.data, labels)
-    loss = Tensor(loss_val)
-    b, c = logits.data.shape
-
-    def backward(gout: np.ndarray) -> None:
+    def grads(gout, need):
         g = probs.copy()
         g[np.arange(b), labels] -= 1.0
         g *= float(gout) / b
-        logits.accumulate_grad(g, own=True)
+        return (g,)
 
-    _maybe_record(loss, [logits], backward)
-    return loss, probs
+    return _taped(-log_probs[np.arange(b), labels].mean(), (logits,), grads), probs
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add requires equal shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def backward(gout: np.ndarray) -> None:
-        if a.needs_grad():
-            a.accumulate_grad(gout)
-        if b.needs_grad():
-            b.accumulate_grad(gout)
-
-    return _maybe_record(out, [a, b], backward)
+    return _taped(a.data + b.data, (a, b), lambda gout, need: (gout, gout))
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-D tensors along the feature axis."""
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.data.shape[1] for p in parts]
+    edges = np.cumsum([0] + [p.shape[1] for p in parts])
 
-    def backward(gout: np.ndarray) -> None:
-        offset = 0
-        for p, width in zip(parts, widths):
-            if p.needs_grad():
-                p.accumulate_grad(np.ascontiguousarray(gout[:, offset:offset + width]), own=True)
-            offset += width
+    def grads(gout, need):
+        return [np.ascontiguousarray(gout[:, e0:e1]) if wanted else None
+                for wanted, e0, e1 in zip(need, edges[:-1], edges[1:])]
 
-    return _maybe_record(out, list(parts), backward)
+    return _taped(np.concatenate([p.data for p in parts], axis=1), parts, grads)
 
 
 def mean_scalar(x: Tensor) -> Tensor:
     """Mean of all elements; convenient scalar head for gradient checks."""
-    out = Tensor(x.data.mean())
-
-    def backward(gout: np.ndarray) -> None:
-        x.accumulate_grad(np.full_like(x.data, float(gout) / x.data.size), own=True)
-
-    return _maybe_record(out, [x], backward)
+    return _taped(x.data.mean(), (x,),
+                  lambda gout, need: (np.full_like(x.data, float(gout) / x.size),))

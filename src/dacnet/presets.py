@@ -8,7 +8,7 @@ dotted-path overrides (``network.num_classes=9``) from the command line.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -18,6 +18,7 @@ from .network import NetworkConfig
 from .training import TrainConfig
 
 PRESETS = ("reference", "toy")
+SECTIONS = {"frontend": FrontendConfig, "network": NetworkConfig, "train": TrainConfig}
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class RunConfig:
     def from_dict(doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"run config must be an object, not {type(doc).__name__}")
-        for key in ("frontend", "network", "train"):
+        for key in SECTIONS:
             if key not in doc:
                 raise ConfigError(f"run config is missing the {key!r} section")
         try:
@@ -74,8 +75,18 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _is_field(keys: list[str]) -> bool:
+    """True when ``keys`` is ``section.field`` for a field of the section's config class."""
+    return (len(keys) == 2 and keys[0] in SECTIONS
+            and keys[1] in {f.name for f in fields(SECTIONS[keys[0]])})
+
+
 def apply_override(doc: dict, assignment: str) -> None:
-    """Apply one ``dotted.path=json_value`` override in place."""
+    """Apply one ``dotted.path=json_value`` override in place.
+
+    The path must exist in ``doc`` or name a field of a section that ``doc``
+    has, so a field the document leaves at its default can be set.
+    """
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
@@ -87,7 +98,7 @@ def apply_override(doc: dict, assignment: str) -> None:
     node = doc
     for key in keys[:-1]:
         node = node.get(key) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or keys[-1] not in node:
+    if not isinstance(node, dict) or not (keys[-1] in node or _is_field(keys)):
         raise ConfigError(f"override path {dotted!r} does not exist in the config")
     node[keys[-1]] = value
 

@@ -20,7 +20,10 @@ _IEEE_FLOAT = 3
 
 def read_wav(path: str | Path) -> tuple[int, np.ndarray]:
     """Return (sample_rate, float64 samples of channel 0)."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
 

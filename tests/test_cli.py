@@ -5,7 +5,7 @@ import json
 import pytest
 
 from dacnet.cli import main
-from dacnet.presets import preset_dict
+from dacnet.presets import preset_dict, resolve_run_config
 
 FAST = [
     "--set", "network.stem_channels=4",
@@ -126,6 +126,34 @@ class TestAnalyze:
         rc2 = main(["analyze", "--preset", "toy", "--frames", "499"])
         assert rc2 == 0
 
+    def test_analyze_frames_default_follows_the_frontend(self, capsys):
+        """A 10 s segment at a 10 ms hop has 997 frames, not the 499 of the 20 ms default."""
+        hop = ["--set", "frontend.hop_ms=10"]
+        reports = []
+        for extra in ([], ["--frames", "997"], ["--frames", "499"]):
+            assert main(["analyze", "--preset", "toy", *hop, *extra]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] != reports[2]
+        assert main(["analyze", "--preset", "toy"]) == 0
+        default = capsys.readouterr().out
+        assert main(["analyze", "--preset", "toy", "--frames", "499"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_override_reaches_a_field_the_config_file_leaves_out(self, tmp_path, capsys):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({
+            "frontend": {}, "network": {"blocks": [[32, 16, 1, 1, 3, 2], [16, 32, 1, 3, 3, 2]]},
+            "train": {},
+        }))
+        overrides = ["frontend.hop_ms=10", "network.num_classes=5", "train.max_epochs=5"]
+        run = resolve_run_config(config_path=path, overrides=overrides)
+        assert (run.frontend.hop_ms, run.network.num_classes, run.train.max_epochs) == (10, 5, 5)
+        json_out = tmp_path / "report.json"
+        rc = main(["analyze", "--config", str(path), "--json-out", str(json_out),
+                   *[arg for o in overrides for arg in ("--set", o)]])
+        assert rc == 0
+        assert json.loads(json_out.read_text())["input_shape"] == [1, 3, 28, 997]
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -162,6 +190,45 @@ class TestExitCodes:
         path.write_text("3")
         rc = main(["analyze", "--config", str(path), *overrides])
         self.assert_config_error(rc, capsys, message)
+
+    @pytest.mark.parametrize("override, message", [
+        ("train.max_epoch=5", "override path 'train.max_epoch' does not exist"),
+        ("training.max_epochs=5", "override path 'training.max_epochs' does not exist"),
+        ("network.blocks.stride=2", "override path 'network.blocks.stride' does not exist"),
+    ], ids=["unknown-field", "unknown-section", "below-a-field"])
+    def test_override_outside_the_schema_is_2(self, tmp_path, capsys, override, message):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"frontend": {}, "network": {"blocks": []}, "train": {}}))
+        rc = main(["analyze", "--config", str(path), "--set", override])
+        self.assert_config_error(rc, capsys, message)
+
+    @pytest.mark.parametrize("doc, override, message", [
+        ({"frontend": {}, "network": {"blocks": [[8, 8, 1, 1, 1, 1]]}}, "train.max_epochs=5",
+         "override path 'train.max_epochs' does not exist"),
+        ({"frontend": {}, "network": {}, "train": {}}, "train.max_epochs=5",
+         "malformed network config: 'blocks'"),
+    ], ids=["missing-section", "missing-blocks"])
+    def test_override_does_not_fill_a_missing_part(self, tmp_path, capsys, doc, override,
+                                                    message):
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["analyze", "--config", str(path), "--set", override])
+        self.assert_config_error(rc, capsys, message)
+
+    def test_manifest_row_naming_a_directory_is_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["synth-data", "--out", str(corpus), "--train-per-class", "1",
+                     "--val-per-class", "0", "--test-per-class", "0", "--seed", "6"]) == 0
+        wav = sorted((corpus / "audio").glob("*.wav"))[0]
+        wav.unlink()
+        wav.mkdir()
+        capsys.readouterr()
+        rc = main(["features", "--data", str(corpus), "--cache-dir", str(tmp_path / "cache")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "data error: 1 feature extraction failures" in err
+        assert f"cannot read {wav}: Is a directory" in err
+        assert "Traceback" not in err
 
     def test_data_error_is_3(self, tmp_path, capsys):
         rc = main(["features", "--data", str(tmp_path)])

@@ -304,6 +304,32 @@ class TestTapeSemantics:
         out = ops.mean_scalar(x)
         assert out._traced is False and x.grad is None
 
+    def test_add_of_one_tensor_copies_the_output_gradient(self):
+        a = Tensor(np.array([[1.0, -2.0, 3.0]]), requires_grad=True)
+        with GradientTape() as tape:
+            total = ops.add(a, a)
+            loss = ops.mean_scalar(total)
+        tape.backward(loss)
+        assert np.array_equal(a.grad, 2 * total.grad)
+        assert not np.shares_memory(a.grad, total.grad)
+
+    def test_op_without_gradient_inputs_records_nothing(self):
+        x = Tensor(np.ones((2, 3)))
+        w = Tensor(np.ones((3, 2)))
+        with GradientTape() as tape:
+            out = ops.relu(ops.linear(x, w, None))
+        assert len(tape) == 0 and out._traced is False
+
+    def test_linear_routes_only_needed_gradients(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.standard_normal((2, 3)))
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        with GradientTape() as tape:
+            loss = ops.mean_scalar(ops.linear(x, w, None))
+        tape.backward(loss)
+        assert x.grad is None
+        assert np.array_equal(w.grad, x.data.T @ np.full((2, 2), 0.25))
+
     def test_reused_tensor_accumulates(self):
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         w = Tensor(np.array([[1.0]]), requires_grad=True)
