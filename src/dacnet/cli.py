@@ -41,7 +41,7 @@ from .data import (
 from .errors import ConfigError, DacnetError, DataError, NumericError
 from .fileio import write_atomic
 from .network import ABLATION_VARIANTS, Model, ablation_variant, build_network
-from .presets import PRESETS, resolve_run_config
+from .presets import PRESETS, load_preset, resolve_run_config
 from .training import EpochRecord, evaluate, train
 
 
@@ -274,8 +274,6 @@ def cmd_eval(args) -> None:
 
 
 def cmd_analyze(args) -> None:
-    from .presets import load_preset
-
     run = _resolve(args)
     frames = run.frontend.n_frames(SEGMENT_SAMPLES) if args.frames is None else args.frames
     input_shape = (1, run.network.input_channels, run.frontend.mel_bins, frames)
@@ -291,8 +289,8 @@ def cmd_analyze(args) -> None:
     print("reference results on the 9-class task:")
     print(reference_table())
     print()
-    reference_blocks = load_preset("reference").network.blocks
-    if run.network.blocks == reference_blocks:
+    reference_scale = run.network.blocks == load_preset("reference").network.blocks
+    if reference_scale:
         print(deviation_summary(report))
     else:
         print("analyzed configuration is not the reference-scale schedule; "
@@ -300,7 +298,7 @@ def cmd_analyze(args) -> None:
     if args.json_out is not None:
         doc = report.to_dict()
         doc["input_shape"] = list(input_shape)
-        if run.network.blocks == reference_blocks:
+        if reference_scale:
             doc["deviation"] = deviation_summary(report)
         doc["reference_results"] = [
             {"model": name, "ps": ps, "mao": mao, "ca": ca}

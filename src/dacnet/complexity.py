@@ -56,8 +56,8 @@ def bn_params(channels: int) -> int:
     return 2 * channels
 
 
-def linear_params(in_features: int, out_features: int, has_bias: bool = True) -> int:
-    return in_features * out_features + (out_features if has_bias else 0)
+def linear_params(in_features: int, out_features: int) -> int:
+    return in_features * out_features + out_features
 
 
 def linear_macs(in_features: int, out_features: int) -> int:

@@ -260,6 +260,9 @@ class CacheStats:
 
 class FeatureCache:
     def __init__(self, root: str | Path, config: FrontendConfig):
+        if config.sample_rate != SAMPLE_RATE:
+            raise ConfigError(f"frontend sample_rate {config.sample_rate} Hz does not match "
+                              f"the corpus rate of {SAMPLE_RATE} Hz")
         self.config = config
         self.fingerprint = config.fingerprint()
         self.root = Path(root) / self.fingerprint

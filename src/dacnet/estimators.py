@@ -20,7 +20,7 @@ from .frontend import FrontendConfig, compute_features
 from .network import Model, NetworkConfig, build_network
 from .presets import load_preset
 from .training import TrainConfig, evaluate, predict_batches, train
-from .validation import check_feature_array, check_labels, check_waveforms
+from .validation import check_feature_array, check_labels, check_waveforms, config_from_dict
 
 
 class BaseEstimator:
@@ -66,15 +66,8 @@ class LogMelFrontend(BaseEstimator):
         self.delta_window = delta_window
         self.channel_mode = channel_mode
 
-    def _config(self) -> FrontendConfig:
-        return FrontendConfig(
-            sample_rate=self.sample_rate, frame_ms=self.frame_ms, hop_ms=self.hop_ms,
-            mel_bins=self.mel_bins, fft_size=self.fft_size,
-            delta_window=self.delta_window, channel_mode=self.channel_mode,
-        )
-
     def fit(self, X=None, y=None) -> "LogMelFrontend":
-        self.config_ = self._config()
+        self.config_ = FrontendConfig(**self.get_params())
         return self
 
     def transform(self, X):
@@ -118,7 +111,7 @@ class DacNetClassifier(BaseEstimator):
             if value is None:
                 value = getattr(load_preset("toy"), name)
             elif isinstance(value, dict):
-                value = cls.from_dict(value)
+                value = config_from_dict(cls, value, name)
             elif not isinstance(value, cls):
                 raise ConfigError(f"{name} must be a {cls.__name__}, a dict or None, "
                                   f"not {type(value).__name__}")

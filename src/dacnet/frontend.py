@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .fileio import write_atomic
+from .validation import check_fields
 
 DACF_MAGIC = b"DACF"
 DACF_VERSION = 1
@@ -48,16 +49,22 @@ class FrontendConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        check_fields(self, positive=("delta_window",))
         if self.hop_ms > self.frame_ms:
             raise ConfigError(f"hop ({self.hop_ms} ms) must not exceed frame ({self.frame_ms} ms)")
+        try:
+            spans = (self.frame_samples, self.hop_samples)
+        except OverflowError:  # more samples than a float holds
+            spans = (0,)
+        if min(spans) < 1:
+            raise ConfigError(f"frame_ms {self.frame_ms} and hop_ms {self.hop_ms} must each span "
+                              f"1 to finitely many samples at sample_rate {self.sample_rate}")
         if self.fft_size < self.frame_samples:
             raise ConfigError(
                 f"fft_size {self.fft_size} smaller than frame of {self.frame_samples} samples"
             )
         if self.mel_bins < 2:
             raise ConfigError(f"mel_bins must be >= 2, got {self.mel_bins}")
-        if self.delta_window < 1:
-            raise ConfigError(f"delta_window must be >= 1, got {self.delta_window}")
         if self.channel_mode not in CHANNEL_MODES:
             raise ConfigError(f"channel_mode must be one of {CHANNEL_MODES}")
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .fileio import write_atomic
 from .ops import ConvSpec
 from .tensor import DTYPE, Tensor
+from .validation import check_fields, config_from_dict, config_to_dict
 
 DACM_MAGIC = b"DACM"
 DACM_VERSION = 1
@@ -56,9 +57,7 @@ class BlockSpec:
     dilation: int = 2
 
     def __post_init__(self):
-        if min(self.in_channels, self.out_channels, self.stride, self.repeats,
-               self.expansion_factor, self.dilation) < 1:
-            raise ConfigError(f"block fields must be positive: {self}")
+        check_fields(self, positive=[f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class NetworkConfig:
     stem_channels: int = 32
     stem_kernel: int = 3
     stem_stride: int = 2
-    blocks: tuple[BlockSpec, ...] = ()
+    blocks: tuple[BlockSpec, ...] = field(kw_only=True)  # required
     mse_taps: Optional[tuple[int, ...]] = None  # block-instance indices; default: last three
     mse_projection_channels: int = 1280
     num_classes: int = 9
@@ -91,6 +90,11 @@ class NetworkConfig:
     residual_enabled: bool = True
     literal_fc_head: bool = False
     fc_neurons: int = 1280  # only used when literal_fc_head is set
+
+    def __post_init__(self):
+        check_fields(self, positive=("input_channels", "stem_channels", "stem_kernel",
+                                     "stem_stride", "mse_projection_channels",
+                                     "num_classes", "fc_neurons"))
 
     def instances(self) -> list[InstanceSpec]:
         out: list[InstanceSpec] = []
@@ -141,33 +145,11 @@ class NetworkConfig:
     # -- JSON round trip ----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["blocks"] = [astuple(b) for b in self.blocks]
-        return json.dumps(doc, indent=2)
-
-    @staticmethod
-    def from_dict(doc: dict) -> "NetworkConfig":
-        """Fields missing from ``doc`` take their defaults; ``blocks`` is required
-        and unknown keys are rejected."""
-        if not isinstance(doc, dict):
-            raise ConfigError(
-                f"malformed network config: expected an object, not {type(doc).__name__}")
-        names = {f.name for f in fields(NetworkConfig)}
-        unknown = [str(key) for key in doc if key not in names]
-        if unknown:
-            raise ConfigError(f"malformed network config: unknown keys {', '.join(unknown)}")
-        try:
-            values = dict(doc)
-            values["blocks"] = tuple(BlockSpec(*row) for row in doc["blocks"])
-            if values.get("mse_taps") is not None:
-                values["mse_taps"] = tuple(values["mse_taps"])
-            return NetworkConfig(**values)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"malformed network config: {exc}") from exc
+        return json.dumps(config_to_dict(self), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "NetworkConfig":
-        return NetworkConfig.from_dict(json.loads(text))
+        return config_from_dict(NetworkConfig, json.loads(text), "network")
 
 
 def ablation_variant(config: NetworkConfig, which: str) -> NetworkConfig:

@@ -16,6 +16,7 @@ from .errors import ConfigError
 from .frontend import FrontendConfig
 from .network import NetworkConfig
 from .training import TrainConfig
+from .validation import config_from_dict, config_to_dict
 
 PRESETS = ("reference", "toy")
 SECTIONS = {"frontend": FrontendConfig, "network": NetworkConfig, "train": TrainConfig}
@@ -34,25 +35,11 @@ class RunConfig:
         for key in SECTIONS:
             if key not in doc:
                 raise ConfigError(f"run config is missing the {key!r} section")
-        try:
-            frontend = FrontendConfig(**doc["frontend"])
-        except TypeError as exc:
-            raise ConfigError(f"malformed frontend config: {exc}") from exc
-        return RunConfig(
-            frontend=frontend,
-            network=NetworkConfig.from_dict(doc["network"]),
-            train=TrainConfig.from_dict(doc["train"]),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "frontend": dict(self.frontend.__dict__),
-            "network": json.loads(self.network.to_json()),
-            "train": dict(self.train.__dict__),
-        }
+        return RunConfig(**{key: config_from_dict(cls, doc[key], key)
+                            for key, cls in SECTIONS.items()})
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(config_to_dict(self), indent=2)
 
 
 def preset_dict(name: str) -> dict:
@@ -75,32 +62,22 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _is_field(keys: list[str]) -> bool:
-    """True when ``keys`` is ``section.field`` for a field of the section's config class."""
-    return (len(keys) == 2 and keys[0] in SECTIONS
-            and keys[1] in {f.name for f in fields(SECTIONS[keys[0]])})
-
-
 def apply_override(doc: dict, assignment: str) -> None:
-    """Apply one ``dotted.path=json_value`` override in place.
-
-    The path must exist in ``doc`` or name a field of a section that ``doc``
-    has, so a field the document leaves at its default can be set.
-    """
+    """Set ``section.field=json_value`` in ``doc``, which must have the section;
+    the field must be in the section's schema but need not be in ``doc``."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
-    keys = dotted.strip().split(".")
+    section, _, name = dotted.strip().partition(".")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings are allowed unquoted
-    node = doc
-    for key in keys[:-1]:
-        node = node.get(key) if isinstance(node, dict) else None
-    if not isinstance(node, dict) or not (keys[-1] in node or _is_field(keys)):
+    node = doc.get(section) if isinstance(doc, dict) else None
+    if (section not in SECTIONS or not isinstance(node, dict)
+            or name not in {f.name for f in fields(SECTIONS[section])}):
         raise ConfigError(f"override path {dotted!r} does not exist in the config")
-    node[keys[-1]] = value
+    node[name] = value
 
 
 def resolve_run_config(

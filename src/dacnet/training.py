@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError, NumericError
 from .network import Model
 from .parallel import parallel_map
 from .tensor import GradientTape, Tensor
+from .validation import check_fields
 
 LR_FLOOR = 1e-8
 
@@ -38,19 +39,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, positive=("batch_size", "plateau_patience"))
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
-        if self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and max_epochs >= 0")
-
-    @staticmethod
-    def from_dict(doc: dict) -> "TrainConfig":
-        try:
-            return TrainConfig(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"malformed train config: {exc}") from exc
+        if self.max_epochs < 0:
+            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
 
 class AdamState:

@@ -1,12 +1,83 @@
-"""Input validation helpers for the estimator API."""
+"""Input validation: the config schema's one reader and writer, and the estimator checks."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
+import typing
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+
+_schema = functools.cache(typing.get_type_hints)  # config class -> {field: annotation}
+
+
+def _matches(value, hint) -> bool:
+    """A bool is not a number, an int passes for a float, ``None`` only for ``Optional``."""
+    if hint is float:
+        return type(value) is int or isinstance(value, float) and math.isfinite(value)
+    if hint is int:
+        return type(value) is int
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:  # Optional[T]
+        return value is None or _matches(value, args[0])
+    if origin is tuple:  # tuple[T, ...]
+        return isinstance(value, tuple) and all(_matches(v, args[0]) for v in value)
+    return isinstance(value, hint)
+
+
+def check_fields(config, positive: Sequence[str] = ()) -> None:
+    """Raise ``ConfigError`` unless each field of the config dataclass ``config``
+    matches its annotation, the schema (a float must be finite), and each
+    ``positive`` attribute is >= 1."""
+    cls = type(config)
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if not _matches(value, _schema(cls)[field.name]):
+            raise ConfigError(f"{cls.__name__}.{field.name} must be {field.type}, not {value!r}")
+    for name in positive:
+        if getattr(config, name) < 1:
+            raise ConfigError(f"{cls.__name__}.{name} must be >= 1, got {getattr(config, name)}")
+
+
+def _read(hint, value):
+    """A JSON list as the tuple, or the dataclass row, that ``hint`` declares."""
+    if not isinstance(value, list):
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:  # tuple[T, ...]
+        return tuple(_read(args[0], v) for v in value)
+    if origin is typing.Union:  # Optional[T]
+        return _read(args[0], value)
+    return hint(*value) if dataclasses.is_dataclass(hint) else value  # else check_fields rejects
+
+
+def config_from_dict(cls, doc, name: str):
+    """Build the config dataclass ``cls`` from the JSON object ``doc``, the
+    ``name`` section: absent keys take their defaults, unknown keys are errors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"malformed {name} config: expected an object, not {type(doc).__name__}")
+    unknown = [str(key) for key in doc if key not in _schema(cls)]
+    if unknown:
+        raise ConfigError(f"malformed {name} config: unknown keys {', '.join(unknown)}")
+    try:
+        return cls(**{key: _read(_schema(cls)[key], value) for key, value in doc.items()})
+    except (ConfigError, TypeError) as exc:  # TypeError: a required value missing or extra
+        raise ConfigError(f"malformed {name} config: {exc}") from exc
+
+
+def config_to_dict(config) -> dict:
+    """The inverse of ``config_from_dict``: nested configs as objects, tuples
+    and dataclass rows as lists."""
+    def write(value):
+        if isinstance(value, tuple):
+            return [list(dataclasses.astuple(v)) if dataclasses.is_dataclass(v) else v
+                    for v in value]
+        return config_to_dict(value) if dataclasses.is_dataclass(value) else value
+    return {field.name: write(getattr(config, field.name)) for field in dataclasses.fields(config)}
 
 
 def check_feature_array(X, n_channels: int = 3) -> np.ndarray:

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from dacnet import BlockSpec, ConfigError, FrontendConfig, NetworkConfig, TrainConfig
 from dacnet.cli import main
 from dacnet.presets import preset_dict, resolve_run_config
+from dacnet.validation import config_from_dict, config_to_dict
 
 FAST = [
     "--set", "network.stem_channels=4",
@@ -155,6 +157,40 @@ class TestAnalyze:
         assert json.loads(json_out.read_text())["input_shape"] == [1, 3, 28, 997]
 
 
+class TestConfigSchema:
+    """The config dataclasses' fields are the schema; Python and JSON configs
+    are checked alike."""
+
+    def test_int_where_float_declared_is_kept(self):
+        assert type(TrainConfig(learning_rate=1).learning_rate) is int
+        run = resolve_run_config("toy", overrides=["train.learning_rate=1"])
+        assert '"learning_rate": 1,' in run.to_json()
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TrainConfig(batch_size=True), "TrainConfig.batch_size must be int, not True"),
+        (lambda: FrontendConfig(frame_ms=False),
+         "FrontendConfig.frame_ms must be float, not False"),
+        (lambda: FrontendConfig(log_floor=None),
+         "FrontendConfig.log_floor must be float, not None"),
+        (lambda: BlockSpec(8, 8.0), "BlockSpec.out_channels must be int, not 8.0"),
+        (lambda: NetworkConfig(blocks=[BlockSpec(8, 8)]),
+         r"NetworkConfig.blocks must be tuple\[BlockSpec, ...\], not \["),
+        (lambda: NetworkConfig(blocks=(), mse_taps=(0, 1.0)),
+         r"NetworkConfig.mse_taps must be Optional\[tuple\[int, ...\]\], not \(0, 1.0\)"),
+    ], ids=["bool-for-int", "bool-for-float", "none", "row", "list", "optional"])
+    def test_python_configs_are_checked_like_json(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+    def test_reader_reads_lists_as_declared_tuples_and_writer_inverts_it(self):
+        doc = {"blocks": [[8, 8, 1, 1, 2, 2]], "mse_taps": [0, 1, 2], "stem_channels": 8}
+        config = config_from_dict(NetworkConfig, doc, "network")
+        assert config.blocks == (BlockSpec(8, 8, 1, 1, 2, 2),)
+        assert config.mse_taps == (0, 1, 2) and config.num_classes == 9
+        assert config_from_dict(NetworkConfig, config_to_dict(config), "network") == config
+        assert NetworkConfig(blocks=(), mse_taps=None).mse_taps is None
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
         rc = main(["analyze", "--config", str(tmp_path / "nope.json")])
@@ -202,11 +238,62 @@ class TestExitCodes:
         rc = main(["analyze", "--config", str(path), "--set", override])
         self.assert_config_error(rc, capsys, message)
 
+    @pytest.mark.parametrize("command, override, message", [
+        ("train", "train.batch_size=2.5",
+         "train config: TrainConfig.batch_size must be int, not 2.5"),
+        ("train", 'train.learning_rate="abc"',
+         "train config: TrainConfig.learning_rate must be float, not 'abc'"),
+        ("train", "frontend.mel_bins=28.5",
+         "frontend config: FrontendConfig.mel_bins must be int, not 28.5"),
+        ("analyze", "network.num_classes=9.5",
+         "network config: NetworkConfig.num_classes must be int, not 9.5"),
+        ("train", 'network.dilation_enabled="no"',
+         "network config: NetworkConfig.dilation_enabled must be bool, not 'no'"),
+        ("train", "network.mse_enabled=0",
+         "network config: NetworkConfig.mse_enabled must be bool, not 0"),
+        ("train", "train.seed=null", "train config: TrainConfig.seed must be int, not None"),
+        ("train", "train.learning_rate=NaN",
+         "train config: TrainConfig.learning_rate must be float, not nan"),
+        ("analyze", "network.num_classes=-1",
+         "network config: NetworkConfig.num_classes must be >= 1, got -1"),
+        ("analyze", "network.stem_stride=0",
+         "network config: NetworkConfig.stem_stride must be >= 1, got 0"),
+        ("train", "train.batch_size=0", "train config: TrainConfig.batch_size must be >= 1, got 0"),
+        ("train", "train.max_epochs=-1", "train config: max_epochs must be >= 0, got -1"),
+        ("analyze", "frontend.sample_rate=0", "frontend config: frame_ms 40.0 and hop_ms 20.0 "
+                                              "must each span 1 to finitely many samples at "
+                                              "sample_rate 0"),
+        ("analyze", "frontend.hop_ms=0", "frontend config: frame_ms 40.0 and hop_ms 0 must"),
+        ("analyze", "frontend.frame_ms=1e306", "frontend config: frame_ms 1e+306 and hop_ms"),
+    ], ids=["batch_size", "learning_rate", "mel_bins", "num_classes", "dilation_enabled",
+            "bool-from-int", "null", "nan", "negative", "zero-stride", "zero-batch",
+            "negative-epochs", "zero-rate", "zero-hop", "huge-frame"])
+    def test_value_outside_the_schema_is_2(self, corpus, tmp_path, capsys, command, override,
+                                           message):
+        """A wrongly typed or out-of-range value ends in exit 2 naming the field, before
+        the run directory is made."""
+        out = ["--data", str(corpus), "--out", str(tmp_path / "run")] if command == "train" else []
+        rc = main([command, *out, "--set", override])
+        self.assert_config_error(rc, capsys, f"malformed {message}")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["features", "train"])
+    def test_frontend_rate_other_than_the_corpus_is_2(self, corpus, tmp_path, capsys, command):
+        """Features are computed at the corpus rate only: 16 kHz audio read as
+        8 kHz would give features of the wrong length and meaning."""
+        out = ["--out", str(tmp_path / "run")] if command == "train" else []
+        rc = main([command, "--data", str(corpus), "--cache-dir", str(tmp_path / "cache"), *out,
+                   "--set", "frontend.sample_rate=8000"])
+        self.assert_config_error(
+            rc, capsys, "frontend sample_rate 8000 Hz does not match the corpus rate of 16000 Hz")
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("doc, override, message", [
         ({"frontend": {}, "network": {"blocks": [[8, 8, 1, 1, 1, 1]]}}, "train.max_epochs=5",
          "override path 'train.max_epochs' does not exist"),
         ({"frontend": {}, "network": {}, "train": {}}, "train.max_epochs=5",
-         "malformed network config: 'blocks'"),
+         "malformed network config: NetworkConfig.__init__() missing 1 required "
+         "keyword-only argument: 'blocks'"),
     ], ids=["missing-section", "missing-blocks"])
     def test_override_does_not_fill_a_missing_part(self, tmp_path, capsys, doc, override,
                                                     message):

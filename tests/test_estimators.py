@@ -58,6 +58,11 @@ class TestLogMelFrontend:
         assert isinstance(out, list)
         assert out[0].shape[-1] != out[1].shape[-1]
 
+    def test_any_sample_rate(self):
+        """The feature cache takes the corpus rate only; the transformer takes any rate."""
+        out = LogMelFrontend(sample_rate=8000, fft_size=512).transform(np.zeros((1, 8000)))
+        assert out.shape == (1, 3, 28, 49)
+
     def test_rejects_bad_waveforms(self):
         with pytest.raises(ShapeError):
             LogMelFrontend().transform([np.zeros((2, 100))])

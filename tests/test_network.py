@@ -17,6 +17,7 @@ from dacnet import (
 from dacnet import ops
 from dacnet.complexity import analyze_network
 from dacnet.network import Model, _ConvUnit, receptive_field
+from dacnet.validation import config_from_dict
 
 
 def mini_config(**kw):
@@ -83,13 +84,19 @@ class TestConstruction:
         config = load_preset("reference").network
         assert NetworkConfig.from_json(config.to_json()) == config
 
-    @pytest.mark.parametrize("preset", ["toy", "reference"])
-    def test_config_json_bytes_match_preset(self, preset):
-        """Checkpoint config blobs are the preset's network section, byte for byte."""
-        import json
-        from dacnet.presets import preset_dict
-        doc = preset_dict(preset)["network"]
-        assert NetworkConfig.from_dict(doc).to_json() == json.dumps(doc, indent=2)
+    @pytest.mark.parametrize("preset, network_sha, run_sha", [
+        ("toy", "4530dee56b9dd24cc52606878345f4f8b87d5f3373dbb2a9afc3303854a30f1e",
+         "5162ed1980a460c469e23ad62a1fce43db49e607571d43ef852a3e768727a984"),
+        ("reference", "8bcd508051b7ac4ed5bf8109f1e9f3317c41991d21b5479697cd0f5ddcd8b8bd",
+         "028b6bba27c6c5e7d3a34eb541714c75cbe298bc8ebcad1b7f10b54740437c39"),
+    ], ids=["toy", "reference"])
+    def test_config_json_bytes_match_preset(self, preset, network_sha, run_sha):
+        """A preset's checkpoint config blob and run-config echo keep their bytes:
+        a changed default that moves a preset fails here."""
+        import hashlib
+        run = load_preset(preset)
+        assert hashlib.sha256(run.network.to_json().encode()).hexdigest() == network_sha
+        assert hashlib.sha256(run.to_json().encode()).hexdigest() == run_sha
 
     @pytest.mark.parametrize("doc", [
         {},  # no blocks
@@ -98,7 +105,7 @@ class TestConstruction:
     ])
     def test_malformed_config_dict_raises_config_error(self, doc):
         with pytest.raises(ConfigError, match="malformed network config"):
-            NetworkConfig.from_dict(doc)
+            config_from_dict(NetworkConfig, doc, "network")
 
 
 class TestForward:

@@ -1,9 +1,13 @@
-"""Fuzzing the file readers: truncated and bit-flipped DACF, WAV, DACM and manifest files.
+"""Fuzzing the file readers: truncated and bit-flipped DACF, WAV, DACM and manifest
+files, and mutated run-config documents.
 
 Whatever the damage, the readers may only raise ``DacnetError`` subclasses,
 which the CLI turns into documented exit codes; anything else is a stray
 traceback. What they return must still meet their contract.
 """
+
+import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from dacnet.data import (
 )
 from dacnet.frontend import check_feature, compute_features, read_feature, write_feature
 from dacnet.network import Model
+from dacnet.presets import SECTIONS, RunConfig, preset_dict
 
 CFG = FrontendConfig()
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -162,3 +167,55 @@ def test_damaged_manifests(manifest_file, data):
         assert manifest.root == root
         for row in manifest.rows:
             assert (root / row.path).exists() and row.label in LABELS and row.split in SPLITS
+
+
+# Every JSON value kind. Numbers, which pass the type checks most often and
+# so reach the range checks and arithmetic behind them, are drawn three times
+# as often as the other kinds; integers stay small because ``instances()``
+# makes one object per ``repeats``.
+NUMBERS = (st.integers(-3, 64), st.floats())
+JSON_SCALARS = (st.none(), st.booleans(), *NUMBERS, st.text(max_size=6))
+JSON_VALUES = st.one_of(
+    *JSON_SCALARS, *NUMBERS, *NUMBERS,
+    st.lists(st.one_of(*JSON_SCALARS, st.lists(st.integers(-3, 64), max_size=7)), max_size=6),
+    st.dictionaries(st.text(max_size=6), st.one_of(*JSON_SCALARS), max_size=3),
+)
+
+
+@st.composite
+def mutated_run_config(draw, section):
+    """The toy preset document with one field of ``section`` replaced, a key
+    dropped or added, or ``section`` replaced by a value that is not an object."""
+    doc = preset_dict("toy")
+    # Replacements, the largest space, get four draws in seven.
+    kind = draw(st.sampled_from(["replace"] * 4 + ["drop", "add", "section"]))
+    if kind == "replace":
+        name = draw(st.sampled_from([f.name for f in fields(SECTIONS[section])]))
+        doc[section][name] = draw(JSON_VALUES)
+    elif kind == "drop":
+        node = draw(st.sampled_from([doc, doc["network"]]))
+        del node[draw(st.sampled_from(sorted(node)))]
+    elif kind == "add":
+        node = draw(st.sampled_from([doc, doc[section]]))
+        node[draw(st.text(max_size=8))] = draw(JSON_VALUES)
+    else:
+        doc[section] = draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+    return doc
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+@FUZZ
+@given(data=st.data())
+def test_mutated_run_configs(section, data):
+    doc = data.draw(mutated_run_config(section))
+
+    def read():
+        run = RunConfig.from_dict(doc)
+        run.network.validate()
+        assert run.frontend.n_frames(SEGMENT_SAMPLES) >= 1
+        return run
+
+    run = outcome(read)
+    if not isinstance(run, DacnetError):  # what is read echoes to the same bytes
+        echo = run.to_json()
+        assert RunConfig.from_dict(json.loads(echo)).to_json() == echo
