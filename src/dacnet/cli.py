@@ -169,14 +169,22 @@ def _write_text(path: Path, text: str) -> None:
     write_atomic(path, [text.encode()])
 
 
-def _load_features(args, run, required, optional=()):
-    """(features, labels) per split, after filling the feature cache.
+def _open_data(args, run):
+    """The corpus manifest and its feature cache. ``FeatureCache`` accepts only
+    a frontend the corpus can feed, so opening them before a run directory
+    exists keeps that config error from leaving a run behind."""
+    manifest = load_manifest(args.data / "manifest.csv")
+    return manifest, FeatureCache(_cache_root(args, args.data), run.frontend)
+
+
+def _load_features(args, corpus, required, optional=()):
+    """(features, labels) per split of ``corpus`` (from :func:`_open_data`),
+    after filling the feature cache.
 
     Each ``required`` split must have rows, or ``load_split`` raises
     ``DataError``; each ``optional`` split is loaded only if it has rows.
     """
-    manifest = load_manifest(args.data / "manifest.csv")
-    cache = FeatureCache(_cache_root(args, args.data), run.frontend)
+    manifest, cache = corpus
     cache.ensure(manifest, workers=args.workers)
     return {split: cache.load_split(manifest, split) for split in (*required, *optional)
             if split in required or manifest.split(split)}
@@ -232,9 +240,7 @@ def cmd_synth_data(args) -> None:
 
 
 def cmd_features(args) -> None:
-    run = _resolve(args)
-    manifest = load_manifest(args.data / "manifest.csv")
-    cache = FeatureCache(_cache_root(args, args.data), run.frontend)
+    manifest, cache = _open_data(args, _resolve(args))
     stats = cache.ensure(manifest, workers=args.workers)
     print(f"features ready under {cache.root} "
           f"(computed {stats.computed}, reused {stats.reused})")
@@ -242,8 +248,10 @@ def cmd_features(args) -> None:
 
 def cmd_train(args) -> None:
     run = _resolve(args)
+    run.network.validate()
+    corpus = _open_data(args, run)
     with _run_directory(args.out):
-        data = _load_features(args, run, ("train",), ("validation",))
+        data = _load_features(args, corpus, ("train",), ("validation",))
         _write_text(args.out / "config.json", run.to_json() + "\n")
         model, history, best = _train_one(
             run, data, args.seed, args.out, [], max_epochs=args.max_epochs
@@ -262,7 +270,7 @@ def cmd_eval(args) -> None:
     run = _resolve(args)
     with _run_directory(args.out):
         model = Model.load(args.model)
-        features, labels = _load_features(args, run, (args.split,))[args.split]
+        features, labels = _load_features(args, _open_data(args, run), (args.split,))[args.split]
         ca, matrix = evaluate(model, features, labels, workers=args.workers)
         _write_text(args.out / "config.json", run.to_json() + "\n")
         _write_text(args.out / "confusion.csv", matrix.to_csv(LABELS))
@@ -310,15 +318,19 @@ def cmd_analyze(args) -> None:
 
 def cmd_ablate(args) -> None:
     run = _resolve(args)
+    variants = {v: replace(run, network=ablation_variant(run.network, v))
+                for v in ABLATION_VARIANTS}
+    for vrun in variants.values():
+        vrun.network.validate()
+    corpus = _open_data(args, run)
     with _run_directory(args.out):
-        data = _load_features(args, run, ("train", "test"), ("validation",))
+        data = _load_features(args, corpus, ("train", "test"), ("validation",))
         _write_text(args.out / "config.json", run.to_json() + "\n")
         xte, yte = data["test"]
         results = []
-        for variant in ABLATION_VARIANTS:
+        for variant, vrun in variants.items():
             vdir = args.out / variant
             vdir.mkdir()
-            vrun = replace(run, network=ablation_variant(run.network, variant))
             model, _, _ = _train_one(
                 vrun, data, args.seed, vdir, [], max_epochs=args.max_epochs
             )

@@ -7,8 +7,13 @@ open on the calling thread, and ``GradientTape.backward`` replays the
 recorded operations in reverse execution order (which is a valid topological
 order of the data-flow graph).
 
-Only tensors that actually participate in the taped computation receive a
-gradient; everything else keeps ``grad = None``.
+A tape replays once, and backward frees as it goes: each record is dropped
+as soon as its adjoint has run, and with it the arrays only that record
+held (saved inputs, batch-norm caches, the op's output and its gradient).
+Leaves keep their gradients, and an intermediate gradient outlives the
+tape only on a tensor the caller still holds. Only tensors that actually
+participate in the taped computation receive a gradient; everything else
+keeps ``grad = None``.
 """
 
 from __future__ import annotations
@@ -104,6 +109,7 @@ class GradientTape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._replayed = False
 
     def __enter__(self) -> "GradientTape":
         GradientTape._STACK.items.append(self)
@@ -122,16 +128,25 @@ class GradientTape:
         self._records.append((output, backward))
 
     def __len__(self) -> int:
+        """The number of records not yet replayed."""
         return len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` for every participating tensor, starting at ``loss``."""
+        """Populate ``grad`` for every participating tensor, starting at ``loss``.
+
+        Each record is popped before its adjoint runs, so the tape holds no
+        reference to it afterwards; a replayed tape cannot be replayed again.
+        """
+        if self._replayed:
+            raise RuntimeError("this tape was already replayed; record the forward pass "
+                               "on a new tape")
         if loss.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
         if not np.isfinite(loss.data).all():
             raise NumericError("loss is not finite")
+        self._replayed = True
         loss.accumulate_grad(np.ones_like(loss.data))
-        for output, backward in reversed(self._records):
-            if output.grad is None:
-                continue  # this operation's result never reached the loss
-            backward(output.grad)
+        while self._records:
+            output, backward = self._records.pop()
+            if output.grad is not None:  # else its result never reached the loss
+                backward(output.grad)

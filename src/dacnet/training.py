@@ -42,8 +42,15 @@ class TrainConfig:
         check_fields(self, positive=("batch_size", "plateau_patience"))
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("learning_rate", "epsilon"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("weight_decay", "max_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 class AdamState:

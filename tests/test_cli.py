@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from dacnet import BlockSpec, ConfigError, FrontendConfig, NetworkConfig, TrainConfig
+from dacnet import (BlockSpec, ConfigError, FrontendConfig, NetworkConfig, NumericError,
+                    TrainConfig)
 from dacnet.cli import main
 from dacnet.presets import preset_dict, resolve_run_config
 from dacnet.validation import config_from_dict, config_to_dict
@@ -260,6 +261,12 @@ class TestExitCodes:
          "network config: NetworkConfig.stem_stride must be >= 1, got 0"),
         ("train", "train.batch_size=0", "train config: TrainConfig.batch_size must be >= 1, got 0"),
         ("train", "train.max_epochs=-1", "train config: max_epochs must be >= 0, got -1"),
+        ("train", "train.learning_rate=-1", "train config: learning_rate must be > 0, got -1"),
+        ("train", "train.epsilon=0", "train config: epsilon must be > 0, got 0"),
+        ("train", "train.beta1=1", "train config: beta1 must be in [0, 1), got 1"),
+        ("train", "train.beta2=1.5", "train config: beta2 must be in [0, 1), got 1.5"),
+        ("train", "train.weight_decay=-0.1",
+         "train config: weight_decay must be >= 0, got -0.1"),
         ("analyze", "frontend.sample_rate=0", "frontend config: frame_ms 40.0 and hop_ms 20.0 "
                                               "must each span 1 to finitely many samples at "
                                               "sample_rate 0"),
@@ -267,7 +274,8 @@ class TestExitCodes:
         ("analyze", "frontend.frame_ms=1e306", "frontend config: frame_ms 1e+306 and hop_ms"),
     ], ids=["batch_size", "learning_rate", "mel_bins", "num_classes", "dilation_enabled",
             "bool-from-int", "null", "nan", "negative", "zero-stride", "zero-batch",
-            "negative-epochs", "zero-rate", "zero-hop", "huge-frame"])
+            "negative-epochs", "negative-lr", "zero-epsilon", "beta1-one", "beta2-above-one",
+            "negative-decay", "zero-rate", "zero-hop", "huge-frame"])
     def test_value_outside_the_schema_is_2(self, corpus, tmp_path, capsys, command, override,
                                            message):
         """A wrongly typed or out-of-range value ends in exit 2 naming the field, before
@@ -277,16 +285,34 @@ class TestExitCodes:
         self.assert_config_error(rc, capsys, f"malformed {message}")
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["features", "train"])
+    @pytest.mark.parametrize("command", ["features", "train", "ablate"])
     def test_frontend_rate_other_than_the_corpus_is_2(self, corpus, tmp_path, capsys, command):
         """Features are computed at the corpus rate only: 16 kHz audio read as
-        8 kHz would give features of the wrong length and meaning."""
-        out = ["--out", str(tmp_path / "run")] if command == "train" else []
+        8 kHz would give features of the wrong length and meaning. The rate is
+        checked before a run directory is made, so no run is left behind."""
+        out = ["--out", str(tmp_path / "run")] if command != "features" else []
         rc = main([command, "--data", str(corpus), "--cache-dir", str(tmp_path / "cache"), *out,
                    "--set", "frontend.sample_rate=8000"])
         self.assert_config_error(
             rc, capsys, "frontend sample_rate 8000 Hz does not match the corpus rate of 16000 Hz")
-        assert not (tmp_path / "cache").exists()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("overrides, message", [
+        (["network.stem_channels=4", "network.blocks=[[4,5,1,1,1,1]]"],
+         "multi-scale embedding needs at least 3 block instances"),
+        (["network.blocks=[[8,16,1,1,1,1],[8,8,1,2,1,1]]"],
+         "block 1: in_channels 8 does not chain from previous output 16"),
+    ], ids=["too-few-instances", "unchained"])
+    def test_network_that_cannot_run_is_2(self, corpus, tmp_path, capsys, command, overrides,
+                                          message):
+        """A network table that cannot be built is rejected before the run
+        directory is made, so nothing is written or quarantined."""
+        rc = main([command, "--data", str(corpus), "--cache-dir", str(tmp_path / "cache"),
+                   "--out", str(tmp_path / "run"),
+                   *(arg for o in overrides for arg in ("--set", o))])
+        self.assert_config_error(rc, capsys, message)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("doc, override, message", [
         ({"frontend": {}, "network": {"blocks": [[8, 8, 1, 1, 1, 1]]}}, "train.max_epochs=5",
@@ -432,15 +458,19 @@ class TestExitCodes:
         rc = main(["train", "--data", str(corpus), "--out", str(out), *FAST])
         assert rc == 2
 
-    def test_failed_run_quarantined(self, corpus, tmp_path, capsys):
+    def test_failed_run_quarantined(self, corpus, tmp_path, capsys, monkeypatch):
+        from dacnet import cli
+
+        def diverge(*args, **kwargs):
+            raise NumericError("loss is not finite")
+
+        monkeypatch.setattr(cli, "train", diverge)
         out = tmp_path / "doomed"
-        rc = main(["train", "--data", str(corpus), "--out", str(out),
-                   "--set", "network.stem_channels=4",
-                   "--set", "network.blocks=[[4,5,1,1,1,1]]",  # taps need 3 instances
-                   ])
-        assert rc == 2
+        rc = main(["train", "--data", str(corpus), "--out", str(out), *FAST])
+        assert rc == 4
+        assert "numeric failure: loss is not finite" in capsys.readouterr().err
         assert not out.exists()
-        assert out.with_name("doomed.quarantined").exists()
+        assert (out.with_name("doomed.quarantined") / "config.json").exists()
 
 
 class TestRunDirectory:

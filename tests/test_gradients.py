@@ -1,5 +1,7 @@
 """Backward passes against central finite differences (64-bit, step 1e-4)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -219,8 +221,9 @@ class TestBatchNorm:
                     out = ops.relu(ops.batchnorm(x, gamma, beta, rm.copy(), rv.copy(),
                                                  training))
                 loss = ops.mean_scalar(ops.linear(ops.global_avg_pool(out), head, None))
+            records = len(tape)
             tape.backward(loss)
-            results.append((len(tape), out.data, x.grad, gamma.grad, beta.grad))
+            results.append((records, out.data, x.grad, gamma.grad, beta.grad))
         (n_fused, *fused_arrays), (n_split, *split_arrays) = results
         assert n_fused == n_split - 1
         assert np.array_equal(fused_arrays[0], split_arrays[0])
@@ -312,6 +315,41 @@ class TestTapeSemantics:
         tape.backward(loss)
         assert np.array_equal(a.grad, 2 * total.grad)
         assert not np.shares_memory(a.grad, total.grad)
+
+    def test_backward_consumes_the_tape(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        with GradientTape() as tape:
+            hidden = ops.linear(x, w, None)
+            freed = weakref.ref(hidden.data)
+            del hidden
+            loss = ops.mean_scalar(ops.relu(ops.linear(x, w, None)))
+        assert len(tape) == 4
+        tape.backward(loss)
+        assert len(tape) == 0
+        assert freed() is None  # no record and no caller holds the unused output
+        assert x.grad is not None and w.grad is not None
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with GradientTape() as tape:
+            loss = ops.mean_scalar(x)
+        tape.backward(loss)
+        grad = x.grad.copy()
+        with pytest.raises(RuntimeError, match="already replayed"):
+            tape.backward(loss)
+        assert np.array_equal(x.grad, grad) and np.array_equal(loss.grad, np.ones(()))
+
+    def test_caller_held_intermediate_keeps_its_gradient(self):
+        x = Tensor(np.array([[1.0, -2.0], [3.0, 4.0]]), requires_grad=True)
+        w = Tensor(np.eye(2), requires_grad=True)
+        with GradientTape() as tape:
+            hidden = ops.linear(x, w, None)
+            loss = ops.mean_scalar(ops.relu(hidden))
+        tape.backward(loss)
+        assert np.array_equal(hidden.grad, np.array([[0.25, 0.0], [0.25, 0.25]]))
+        assert np.array_equal(x.grad, hidden.grad)
 
     def test_op_without_gradient_inputs_records_nothing(self):
         x = Tensor(np.ones((2, 3)))

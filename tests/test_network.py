@@ -1,5 +1,7 @@
 """Network construction, execution, ablation switches, and serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,38 @@ class TestTape:
             logits, _ = model.forward(x, training=True)
             ops.softmax_cross_entropy(logits, np.array([0, 1]))
         assert len(tape) == 53
+
+    def test_backward_frees_activations_as_it_replays(self):
+        """A toy training step's backward peaks near the forward's live bytes and
+        leaves only the parameter gradients behind (numpy reports its buffers to
+        tracemalloc). A tape that kept its records until it died would peak at
+        about 2.2x the forward's bytes and keep ~8 MB of activations and their
+        gradients after backward."""
+        model = build_network(load_preset("toy").network, 0)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4, 3, 28, 128)))
+        y = rng.integers(0, 9, 4)
+        grad_bytes = sum(t.data.nbytes for _, t in model.parameters())
+
+        def step():
+            model.zero_grad()
+            with GradientTape() as tape:
+                logits, _ = model.forward(x, training=True)
+                loss, _ = ops.softmax_cross_entropy(logits, y)
+            forward_live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            return forward_live, *tracemalloc.get_traced_memory()
+
+        step()  # first-call caches are not the step's memory
+        tracemalloc.start()
+        try:
+            forward_live, after, peak = step()
+        finally:
+            tracemalloc.stop()
+        assert forward_live > 3 << 20  # the activations were traced
+        assert peak <= 1.25 * forward_live
+        assert after <= grad_bytes + (64 << 10)
 
     def test_eval_forward_records_no_convolution_or_batchnorm(self):
         """Eval mode is inference: folded units put nothing on an open tape."""
