@@ -260,6 +260,9 @@ class _ConvUnit:
             if self.act:
                 np.maximum(out, 0.0, out=out)
             return Tensor(out)
+        if ops.trains_from_gram(self.spec, x.shape):
+            return ops.pointwise_batchnorm(x, self.kernel, self.gamma, self.beta,
+                                           self.running_mean, self.running_var, relu=self.act)
         out = ops.conv2d(x, self.kernel, None, self.spec)
         return ops.batchnorm(out, self.gamma, self.beta, self.running_mean,
                              self.running_var, training, relu=self.act)

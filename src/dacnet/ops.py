@@ -51,16 +51,29 @@ folds into the preceding convolution's kernel and a bias
 (:func:`fold_batchnorm`), so a layer runs one convolution and no separate
 normalization pass.
 
-The taped ops (``conv2d``, ``batchnorm``, ``relu``, ...) operate on
-:class:`~dacnet.tensor.Tensor` values. Each computes its output and states
-its gradients as a function of the output gradient; :func:`_taped` records
-that function on the innermost active :class:`~dacnet.tensor.GradientTape`
-and routes every gradient to its input, so no op decides for itself which
-inputs get one or who owns the array. Convolution and batch norm keep raw
-numpy kernels (``conv2d_forward`` / ``conv2d_backward``,
-``batchnorm_forward`` / ``batchnorm_backward``, with :func:`fold_batchnorm`
-and :func:`log_softmax`), because inference runs them without a tape and the
-tests check them directly; every other op is written out inside its taped op.
+In training, a widening unit takes the fold's counterpart for batch
+statistics. :func:`trains_from_gram` selects, from shapes alone, a pointwise
+layer at stride 1 without padding whose ``C_out`` exceeds ``C_in`` and whose
+batch has at least ``GRAM_POSITIONS_PER_CHANNEL`` positions ``B*H*W`` per
+input channel. Such a unit runs :func:`pointwise_batchnorm`: convolution,
+batch norm and ReLU as one taped op whose statistics and gradients come from
+the narrow input's sum and ``C_in x C_in`` Gram matrix, so the wide
+pre-normalization activation is never stored or read again. It tallies the
+convolution's MACs; the Gram and ``K C`` products are statistics work, like
+batch norm's reductions, and are not counted, so the training tally equals
+the analytic count too. Every other unit runs ``conv2d`` then ``batchnorm``.
+
+The taped ops (``conv2d``, ``batchnorm``, ``pointwise_batchnorm``, ``relu``,
+...) operate on :class:`~dacnet.tensor.Tensor` values. Each computes its
+output and states its gradients as a function of the output gradient;
+:func:`_taped` records that function on the innermost active
+:class:`~dacnet.tensor.GradientTape` and routes every gradient to its input,
+so no op decides for itself which inputs get one or who owns the array.
+Convolution and batch norm keep raw numpy kernels (``conv2d_forward`` /
+``conv2d_backward``, ``batchnorm_forward`` / ``batchnorm_backward``, with
+:func:`fold_batchnorm` and :func:`log_softmax`), because inference runs them
+without a tape and the tests check them, and ``pointwise_batchnorm`` against
+them, directly; every other op is written out inside its taped op.
 """
 
 from __future__ import annotations
@@ -626,6 +639,98 @@ def batchnorm(
         x.data, gamma.data, beta.data, running_mean, running_var, training, relu,
     )
     return _taped(out, (x, gamma, beta), lambda gout, need: batchnorm_backward(gout, cache))
+
+
+# A widening unit trains from its input's Gram matrix once its batch has this
+# many positions per input channel. Below that the C_in x C_in products cost
+# more than the C_out x N passes they replace: one unit's forward and backward
+# took 1.6-2x as long at 0.6-1.2 positions per channel, 4-35 % less from 7.9.
+GRAM_POSITIONS_PER_CHANNEL = 8
+
+
+def trains_from_gram(spec: ConvSpec, x_shape: tuple[int, ...]) -> bool:
+    """Whether a training unit with this spec and input shape runs
+    :func:`pointwise_batchnorm`: pointwise at stride 1 without padding,
+    widening, and at least ``GRAM_POSITIONS_PER_CHANNEL`` batch positions
+    (``B*H*W``) per input channel."""
+    b, ci, h, w = x_shape
+    return (_is_direct(spec) and spec.out_channels > ci
+            and b * h * w >= GRAM_POSITIONS_PER_CHANNEL * ci)
+
+
+def pointwise_batchnorm(
+    x: Tensor,
+    kernel: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    relu: bool = False,
+) -> Tensor:
+    """A direct pointwise convolution, training-mode batch norm and an optional
+    ReLU as one taped op that never forms the convolution's output ``y = K X``.
+
+    With ``X`` the input as ``(C_in, N)`` columns, ``s = X 1`` and the Gram
+    matrix ``C = (X - m)(X - m)^T`` of the input centered on ``m = s / N``,
+    y's batch mean is ``K s / N`` and its variance ``diag(K C K^T) / N``
+    (Ioffe & Szegedy 2015); the output is ``(scale K) X + shift``, one product.
+    Centering the narrow input (a copy that lives only while ``C`` is formed)
+    keeps the variance free of the ``E[y^2] - mean^2`` cancellation.
+
+    The backward pass is the adjoint of :func:`batchnorm_backward` through
+    ``y = K X``. With ``g`` the (masked) output gradient, ``Gx = g X^T``,
+    ``k1 = scale*inv_std*dgamma/N`` and ``c0 = k1*mean - scale*dbeta/N``,
+    ``dy = scale*g - k1*y + c0``, so ``dx = (K^T scale) g - (K^T k1 K) X +
+    K^T c0`` and, since ``K X X^T = K C + mean s^T``, ``dK = scale*Gx -
+    k1*(K C) - (scale*dbeta/N) s^T``. The backward closure keeps x, the output
+    where ReLU masks it, ``s`` and ``K C``: no array of the unit's width but
+    its output. The Gram and ``K C`` products are statistics work and are not
+    tallied as MACs; the convolution's ``C_out * C_in * N`` is.
+    """
+    if x.ndim != 4 or kernel.shape[1:] != (x.shape[1], 1, 1):
+        raise ShapeError(f"pointwise kernel {kernel.shape} does not fit input {x.shape}")
+    b, ci, h, w = x.shape
+    k = kernel.data[:, :, 0, 0]
+    co, count = k.shape[0], b * h * w
+    cols = x.data.reshape(b, ci, h * w)
+    s = cols.sum(axis=(0, 2))
+    centered = cols - (s / count)[:, None]
+    kc = k @ np.matmul(centered, centered.transpose(0, 2, 1)).sum(axis=0)
+    del centered
+    mean = k @ s / count
+    var = np.maximum(np.einsum("oi,oi->o", kc, k) / count, 0.0)
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    scale = gamma.data * inv_std
+    out = np.matmul(scale[:, None] * k, cols)
+    _tally(out.size * ci)
+    out += (beta.data - mean * scale)[:, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+
+    def grads(gout, need):
+        g = gout.reshape(b, co, h * w)
+        if relu:
+            g = g * (out > 0)
+        dbeta = g.sum(axis=(0, 2))
+        gx = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+        dgamma = (np.einsum("oi,oi->o", gx, k) - mean * dbeta) * inv_std
+        k1 = scale * inv_std * dgamma / count
+        k0 = scale * dbeta / count
+        dx = dk = None
+        if need[0]:
+            dx = np.matmul(k.T * scale, g)
+            dx -= np.matmul((k.T * k1) @ k, cols)
+            dx += (k.T @ (k1 * mean - k0))[:, None]
+            dx = dx.reshape(x.shape)
+        if need[1]:
+            dk = (scale[:, None] * gx - k1[:, None] * kc - np.outer(k0, s)).reshape(kernel.shape)
+        return dx, dk, dgamma, dbeta
+
+    return _taped(out.reshape(b, co, h, w), (x, kernel, gamma, beta), grads)
 
 
 def relu(x: Tensor) -> Tensor:

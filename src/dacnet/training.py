@@ -170,6 +170,14 @@ def predict_batches(model: Model, features: np.ndarray, batch_size: int = 32,
     return np.concatenate(parallel_map(model.predict_logits, chunks, workers))
 
 
+def _labels_for(features: np.ndarray, labels) -> np.ndarray:
+    """``labels`` as an array, one per segment of ``features``."""
+    labels = np.asarray(labels)
+    if labels.shape != (len(features),):
+        raise DataError(f"labels of shape {labels.shape} for {len(features)} segments")
+    return labels
+
+
 def evaluate(
     model: Model,
     features: np.ndarray,
@@ -186,7 +194,7 @@ def evaluate(
     """
     if num_classes is None:
         num_classes = model.config.num_classes
-    labels = np.asarray(labels)
+    labels = _labels_for(features, labels)
     outside = (labels < 0) | (labels >= num_classes)
     if outside.any():
         raise DataError(f"label {int(labels[outside][0])} outside [0, {num_classes})")
@@ -222,7 +230,7 @@ def train(
     n = len(train_features)
     if n == 0:
         raise DataError("cannot train on an empty dataset")
-    train_labels = np.asarray(train_labels)
+    train_labels = _labels_for(train_features, train_labels)
     params = model.parameters()
     state = AdamState(params)
     rng = np.random.default_rng(config.seed)

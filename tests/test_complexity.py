@@ -109,6 +109,34 @@ class TestDualRoutes:
                 model.forward(Tensor(rng.standard_normal(shape)))
             assert counter.total == report.total_macs
 
+    @pytest.mark.parametrize("preset,shape", [
+        ("toy", (4, 3, 28, 128)),  # block0-3.expand train from the Gram matrix, the rest not
+        ("toy", (16, 3, 28, 499)),  # every widening unit does
+        ("reference", (3, 3, 28, 499)),  # block0-9.expand do
+    ])
+    def test_training_forward_macs_equal_analytic_on_presets(self, preset, shape):
+        """Training mode tallies the convolutions' analytic MACs times the batch,
+        whichever path each unit takes; the Gram statistics are not counted."""
+        config = load_preset(preset).network
+        model = build_network(config, seed=0)
+        x = np.random.default_rng(6).standard_normal(shape)
+        with count_macs() as counter:
+            model.forward(Tensor(x), training=True)
+        assert counter.total == analyze_network(config, (1,) + shape[1:]).total_macs * shape[0]
+
+    def test_training_forward_macs_equal_analytic_on_random_configs(self):
+        """The random configs of the eval contract, in training mode at batch 1-4."""
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            config = random_network_config(rng)
+            shape = (int(rng.integers(1, 5)), config.input_channels,
+                     int(rng.integers(10, 21)), int(rng.integers(12, 29)))
+            report = analyze_network(config, (1,) + shape[1:])
+            model = build_network(config, seed=0)
+            with count_macs() as counter:
+                model.forward(Tensor(rng.standard_normal(shape)), training=True)
+            assert counter.total == report.total_macs * shape[0]
+
     def test_mac_counters_are_per_thread(self):
         """Threads counting at the same time each see only their own MACs."""
         config = load_preset("toy").network

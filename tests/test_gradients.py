@@ -14,6 +14,23 @@ def check(loss_fn, tensors, tol=1e-5, step=1e-4):
     assert err <= tol, f"max relative error {err:.3e} > {tol}"
 
 
+def two_pass_batchnorm(x, gamma, beta, g):
+    """Training-mode batch norm's output and its gradients (dx, dgamma, dbeta) for
+    output gradient ``g``, from a centered copy of ``x``."""
+    c = x.shape[1]
+    shape = (1, c, 1, 1)
+    n = x.size // c
+    centered = x - x.mean(axis=(0, 2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=(0, 2, 3), keepdims=True) + 1e-5)
+    xhat = centered * inv_std
+    out = xhat * gamma.reshape(shape) + beta.reshape(shape)
+    dbeta = g.sum(axis=(0, 2, 3))
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dx = (gamma.reshape(shape) * inv_std / n) * (
+        n * g - dbeta.reshape(shape) - xhat * dgamma.reshape(shape))
+    return out, dx, dgamma, dbeta
+
+
 class TestConvGradients:
     @pytest.mark.parametrize("mode,kwargs", [
         ("standard", dict(kernel_size=3, padding=1, dilation=1, stride=1)),
@@ -114,19 +131,7 @@ class TestBatchNorm:
         g = rng.standard_normal(x.shape)
         out, cache = ops.batchnorm_forward(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
         dx, dgamma, dbeta = ops.batchnorm_backward(g, cache)
-
-        n = x.size // 3
-        centered = x - x.mean(axis=(0, 2, 3), keepdims=True)
-        inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=(0, 2, 3), keepdims=True) + 1e-5)
-        xhat = centered * inv_std
-        want_out = xhat * gamma.reshape(1, 3, 1, 1) + beta.reshape(1, 3, 1, 1)
-        want_dbeta = g.sum(axis=(0, 2, 3))
-        want_dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        want_dx = (gamma.reshape(1, 3, 1, 1) * inv_std / n) * (
-            n * g - want_dbeta.reshape(1, 3, 1, 1) - xhat * want_dgamma.reshape(1, 3, 1, 1)
-        )
-        for got, want in ((out, want_out), (dx, want_dx), (dgamma, want_dgamma),
-                          (dbeta, want_dbeta)):
+        for got, want in zip((out, dx, dgamma, dbeta), two_pass_batchnorm(x, gamma, beta, g)):
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_constant_channel_negative_rounding_stays_finite(self):
@@ -235,6 +240,128 @@ class TestBatchNorm:
             ops.batchnorm_forward(
                 np.ones((2, 3, 4)), np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), True
             )
+
+
+class TestPointwiseBatchNorm:
+    """``ops.pointwise_batchnorm`` against the raw kernels and independent references."""
+
+    @staticmethod
+    def raw_chain(x, k, gamma, beta, relu, g):
+        """conv2d_forward -> batchnorm_forward -> batchnorm_backward -> conv2d_backward."""
+        spec = ConvSpec(1, x.shape[1], k.shape[0], mode="pointwise")
+        rm, rv = np.zeros(len(gamma)), np.ones(len(gamma))
+        y = ops.conv2d_forward(x, k, None, spec)
+        out, cache = ops.batchnorm_forward(y, gamma, beta, rm, rv, training=True, relu=relu)
+        dy, dgamma, dbeta = ops.batchnorm_backward(g, cache)
+        dx, dk, _ = ops.conv2d_backward(dy, x, k, spec)
+        return out, rm, rv, dx, dk, dgamma, dbeta
+
+    @staticmethod
+    def taped(x, k, gamma, beta, relu, g):
+        """The same quantities from the taped op, with ``g`` as its output gradient."""
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, k, gamma, beta)]
+        rm, rv = np.zeros(len(gamma)), np.ones(len(gamma))
+        with GradientTape() as tape:
+            out = ops.pointwise_batchnorm(*tensors, rm, rv, relu=relu)
+            loss = Tensor(np.sum(out.data * g))
+            tape.record(loss, lambda gl: out.accumulate_grad(g * float(gl)))
+        assert len(tape) == 2  # one record for the whole unit
+        tape.backward(loss)
+        return (out.data, rm, rv, *(t.grad for t in tensors))
+
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("b,ci,co,h,w", [
+        (4, 3, 7, 5, 6),
+        (2, 8, 16, 3, 4),
+        (1, 5, 9, 2, 3),
+        (3, 4, 12, 1, 1),  # B*H*W = 3, fewer positions than input channels
+        (2, 6, 4, 3, 3),  # narrowing: the op is exact whatever the rule selects
+    ])
+    def test_matches_raw_kernels(self, b, ci, co, h, w, relu):
+        """Output, running statistics and all four gradients within 1e-12 relative."""
+        rng = np.random.default_rng(b * 1000 + ci * 100 + co)
+        x = rng.standard_normal((b, ci, h, w)) * rng.uniform(0.5, 2.0, (1, ci, 1, 1))
+        k = rng.standard_normal((co, ci, 1, 1))
+        gamma, beta = rng.uniform(0.5, 1.5, co), rng.standard_normal(co)
+        g = rng.standard_normal((b, co, h, w))
+        want = self.raw_chain(x, k, gamma, beta, relu, g)
+        got = self.taped(x, k, gamma, beta, relu, g)
+        names = ("out", "running_mean", "running_var", "dx", "dk", "dgamma", "dbeta")
+        for name, a, e in zip(names, got, want):
+            assert a.shape == e.shape, name
+            assert np.max(np.abs(a - e)) <= 1e-12 * np.max(np.abs(e)), name
+
+    @pytest.mark.parametrize("zero_sum_rows", [False, True])
+    def test_large_mean_matches_two_pass_reference(self, zero_sum_rows):
+        """mean/std ~ 1e3 on the unit's input x, within 1e-9 of the two-pass reference
+        through ``y = K x``. With zero-sum kernel rows y's mean is small while x's is large."""
+        rng = np.random.default_rng(17)
+        x = 1e3 + rng.standard_normal((4, 3, 6, 7)) * rng.uniform(0.5, 2.0, (1, 3, 1, 1))
+        k = rng.standard_normal((5, 3, 1, 1))
+        if zero_sum_rows:
+            k -= k.mean(axis=1, keepdims=True)
+        gamma, beta = rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)
+        g = rng.standard_normal((4, 5, 6, 7))
+        y = np.einsum("oi,bihw->bohw", k[:, :, 0, 0], x)
+        assert (np.abs(y.mean(axis=(0, 2, 3))) < 10.0).all() == zero_sum_rows
+        want_out, dy, want_dgamma, want_dbeta = two_pass_batchnorm(y, gamma, beta, g)
+        want_dx = np.einsum("oi,bohw->bihw", k[:, :, 0, 0], dy)
+        want_dk = np.einsum("bohw,bihw->oi", dy, x)[:, :, None, None]
+        out, _, _, dx, dk, dgamma, dbeta = self.taped(x, k, gamma, beta, False, g)
+        for got, want in ((out, want_out), (dx, want_dx), (dk, want_dk),
+                          (dgamma, want_dgamma), (dbeta, want_dbeta)):
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_constant_channels_stay_finite(self):
+        """Constant input channels give y channels of zero variance, whose one-pass
+        estimate E[y^2] - mean^2 rounds far below -eps; output and gradients stay finite."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((4, 3, 6, 7))
+        x[:, 1] = 987654.321
+        x[:, 2] = -123456.789
+        k = np.zeros((3, 3, 1, 1))
+        k[0, 1] = k[1, 2] = 1.0
+        k[2] = rng.standard_normal((3, 1, 1))
+        y = x[:, 1]
+        one_pass = (y * y).mean() - y.mean() ** 2
+        assert one_pass < -1e-5
+        gamma, beta = np.array([1.0, 2.0, 0.5]), np.array([0.0, 0.5, -1.0])
+        with np.errstate(invalid="raise", divide="raise"):
+            out, rm, rv, *grads = self.taped(x, k, gamma, beta, True, rng.standard_normal(x.shape))
+        assert np.isfinite(out).all() and all(np.isfinite(grad).all() for grad in grads)
+        assert rv[0] == rv[1] == 0.9  # variance 0 folded into the running value 1
+        assert np.allclose(out[:, 1], 0.5, atol=1e-6)
+
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_gradients(self, relu):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        k = Tensor(rng.standard_normal((5, 3, 1, 1)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
+        beta = Tensor(rng.standard_normal(5), requires_grad=True)
+        # a fixed depthwise layer after the unit weights every position differently
+        spec = ConvSpec(3, 5, 5, padding=1, mode="depthwise")
+        weights = Tensor(rng.standard_normal(spec.kernel_shape()))
+
+        def loss():
+            out = ops.pointwise_batchnorm(x, k, gamma, beta, np.zeros(5), np.ones(5), relu=relu)
+            return ops.mean_scalar(ops.conv2d(out, weights, None, spec))
+
+        check(loss, [x, k, gamma, beta])
+
+    @pytest.mark.parametrize("shape,spec,selected", [
+        ((2, 4, 4, 4), ConvSpec(1, 4, 8, mode="pointwise"), True),  # B*H*W = 32 = 8*C_in
+        ((1, 4, 31, 1), ConvSpec(1, 4, 8, mode="pointwise"), False),  # 31 positions
+        ((2, 4, 4, 4), ConvSpec(1, 4, 4, mode="pointwise"), False),  # not widening
+        ((2, 8, 4, 4), ConvSpec(1, 8, 4, mode="pointwise"), False),  # narrowing
+        ((2, 4, 8, 8), ConvSpec(1, 4, 8, stride=2, mode="pointwise"), False),
+        ((2, 4, 8, 8), ConvSpec(1, 4, 8, padding=1, mode="pointwise"), False),
+        ((2, 4, 8, 8), ConvSpec(3, 4, 8, padding=1), False),  # standard 3x3
+        ((2, 4, 8, 8), ConvSpec(3, 4, 4, padding=1, mode="depthwise"), False),
+    ])
+    def test_rule_is_a_shape_rule(self, shape, spec, selected):
+        """Pointwise at stride 1 without padding, widening, B*H*W >= 8*C_in."""
+        assert ops.trains_from_gram(spec, shape) is selected
 
 
 class TestAuxiliaryOps:

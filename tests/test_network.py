@@ -177,21 +177,60 @@ class TestForward:
 
 
 class TestTape:
-    def test_toy_forward_records_one_op_per_layer(self):
-        """22 conv + 22 BN(+ReLU) + 3 residual adds + 3 pools + concat + linear + loss."""
+    def test_toy_forward_records_one_op_per_layer(self, monkeypatch):
+        """Each of the 22 units records one op when it trains from its input's
+        Gram matrix (at this shape block0.expand and block1.expand) and conv +
+        BN(+ReLU) otherwise, then 3 residual adds + 3 pools + concat + linear +
+        loss: 2 + 2*20 + 9 = 51."""
         model = build_network(load_preset("toy").network, 0)
         x = Tensor(np.random.default_rng(0).standard_normal((2, 3, 28, 64)))
+        rule, selected = ops.trains_from_gram, []
+
+        def spy(spec, x_shape):
+            selected.append(rule(spec, x_shape))
+            return selected[-1]
+
+        monkeypatch.setattr(ops, "trains_from_gram", spy)
         with GradientTape() as tape:
             logits, _ = model.forward(x, training=True)
             ops.softmax_cross_entropy(logits, np.array([0, 1]))
-        assert len(tape) == 53
+        assert len(selected) == 22 and sum(selected) == 2
+        assert len(tape) == 2 * 22 - sum(selected) + 9 == 51
+
+    @pytest.mark.parametrize("preset,batch,selected", [
+        ("toy", 32, [f"block{i}.expand" for i in range(6)] + ["head0", "head1", "head2"]),
+        ("toy", 16, [f"block{i}.expand" for i in range(6)] + ["head0", "head1", "head2"]),
+        ("reference", 3, [f"block{i}.expand" for i in range(10)]),
+    ])
+    def test_gram_rule_at_the_benchmark_batches(self, monkeypatch, preset, batch, selected):
+        """Units that train from their input's Gram matrix on 28x499 segments, at the
+        benchmark's batches (toy's last batch of an epoch holds 16). On reference,
+        block10-15.expand and the heads have too few positions per input channel."""
+        model = build_network(load_preset(preset).network, 0)
+        names = {id(unit.kernel): unit.name for unit in model.units()}
+        widening = [unit.name for unit in model.units() if unit.spec.mode == "pointwise"
+                    and unit.spec.out_channels > unit.spec.in_channels]
+        taken = []
+        op = ops.pointwise_batchnorm
+
+        def spy(x, kernel, *args, **kwargs):
+            taken.append(names[id(kernel)])
+            return op(x, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(ops, "pointwise_batchnorm", spy)
+        x = np.random.default_rng(1).standard_normal((batch, 3, 28, 499))
+        model.forward(Tensor(x), training=True)
+        assert taken == selected
+        assert set(taken) <= set(widening)
 
     def test_backward_frees_activations_as_it_replays(self):
         """A toy training step's backward peaks near the forward's live bytes and
         leaves only the parameter gradients behind (numpy reports its buffers to
         tracemalloc). A tape that kept its records until it died would peak at
         about 2.2x the forward's bytes and keep ~8 MB of activations and their
-        gradients after backward."""
+        gradients after backward. The forward holds ~3.13 MB: the four widening
+        units that train from their input's Gram matrix store no wide
+        pre-normalization activation, which took it to ~3.99 MB."""
         model = build_network(load_preset("toy").network, 0)
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((4, 3, 28, 128)))
@@ -214,7 +253,7 @@ class TestTape:
             forward_live, after, peak = step()
         finally:
             tracemalloc.stop()
-        assert forward_live > 3 << 20  # the activations were traced
+        assert 2 << 20 < forward_live <= 3.5e6  # the activations were traced, y was not
         assert peak <= 1.25 * forward_live
         assert after <= grad_bytes + (64 << 10)
 

@@ -177,6 +177,13 @@ class TestEvaluate:
         with pytest.raises(DataError, match=f"label {bad} outside"):
             evaluate(model, x, np.array([0, bad, 1]))
 
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_label_count_must_match_segments(self, n_labels):
+        model = build_network(tiny_config(), 0)
+        x = np.random.default_rng(3).standard_normal((3, 3, 28, 20))
+        with pytest.raises(DataError, match=rf"labels of shape \({n_labels},\) for 3 segments"):
+            evaluate(model, x, np.zeros(n_labels, dtype=int))
+
     def test_worker_threads_do_not_record_on_callers_tape(self):
         model = build_network(tiny_config(), 0)
         rng = np.random.default_rng(4)
@@ -254,6 +261,18 @@ class TestTrainingLoop:
         finally:
             tr.ops.softmax_cross_entropy = keep
         assert sorted(seen) == [2, 4, 4]
+
+    @pytest.mark.parametrize("n_labels", [5, 7])
+    def test_label_count_must_match_segments(self, n_labels):
+        """A longer label array is not truncated and a shorter one is not indexed past
+        its end: either is a data error naming both lengths, before any step."""
+        rng = np.random.default_rng(7)
+        model = build_network(tiny_config(), 0)
+        before = model.arena.copy()
+        with pytest.raises(DataError, match=rf"labels of shape \({n_labels},\) for 6 segments"):
+            train(model, rng.standard_normal((6, 3, 28, 20)), rng.integers(0, 9, n_labels),
+                  TrainConfig(batch_size=4, max_epochs=1))
+        assert np.array_equal(model.arena, before)
 
     def test_history_records_schedule(self):
         rng = np.random.default_rng(6)
