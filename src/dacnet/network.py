@@ -11,6 +11,15 @@ and a linear classifier.
 both the executable :class:`Model` and the analytic cost walk in
 :mod:`dacnet.complexity` are derived from it.
 
+``Model.forward`` walks a plan of the units at the input's ``(h, w)``
+(:class:`_Plan`): each unit's spec, convolution geometry and ReLU flag, the
+residual flags and the taps. It is built once per input size, and only the
+last size's is kept; building it is the shape check, which names the first
+unit the input is too small for. The plan holds no parameter, statistic or
+folded kernel, so in eval mode each unit still folds its batch norm into its
+kernel on every call, and a parameter written between calls takes effect at
+the next one.
+
 Model files ("DACM") are: magic "DACM", a version byte, a little-endian
 uint32 length plus that many bytes of config JSON, then ``Model.arena``: every
 parameter in declaration order, then every unit's running statistics, float64.
@@ -250,22 +259,14 @@ class _ConvUnit:
         self.running_mean = np.empty(c, dtype=DTYPE)
         self.running_var = np.empty(c, dtype=DTYPE)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        if not training:
-            # Inference: batch norm folded into the kernel, one convolution,
-            # nothing recorded on a tape.
-            kernel, shift = ops.fold_batchnorm(self.kernel.data, self.gamma.data, self.beta.data,
-                                               self.running_mean, self.running_var)
-            out = ops.conv2d_forward(x.data, kernel, shift, self.spec)
-            if self.act:
-                np.maximum(out, 0.0, out=out)
-            return Tensor(out)
+    def __call__(self, x: Tensor) -> Tensor:
+        """Training forward: batch statistics, every operation taped."""
         if ops.trains_from_gram(self.spec, x.shape):
             return ops.pointwise_batchnorm(x, self.kernel, self.gamma, self.beta,
                                            self.running_mean, self.running_var, relu=self.act)
         out = ops.conv2d(x, self.kernel, None, self.spec)
         return ops.batchnorm(out, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training, relu=self.act)
+                             self.running_var, True, relu=self.act)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(f"{self.name}.kernel", self.kernel), (f"{self.name}.gamma", self.gamma),
@@ -282,13 +283,84 @@ class _Block:
         self.residual = residual and inst.stride == 1 and inst.in_channels == inst.out_channels
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        out = self.project(self.depthwise(self.expand(x, training), training), training)
-        if self.residual:
-            out = ops.add(out, x)
-        return out
+        """The block's taped training forward; eval mode runs from the model's plan."""
+        if not training:
+            raise ValueError("a block runs in training mode only; eval runs Model.forward")
+        out = self.project(self.depthwise(self.expand(x)))
+        return ops.add(out, x) if self.residual else out
 
     def units(self) -> list[_ConvUnit]:
         return [self.expand, self.depthwise, self.project]
+
+
+@dataclass(frozen=True)
+class _UnitStep:
+    """One unit at one input size: the unit, whose parameters and statistics are
+    read at each call, and its convolution's geometry there."""
+
+    unit: _ConvUnit
+    geometry: ops.ConvGeometry
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval forward: batch norm folded into the kernel
+        (:func:`~dacnet.ops.fold_batchnorm`) right before the one convolution."""
+        u = self.unit
+        kernel, shift = ops.fold_batchnorm(u.kernel.data, u.gamma.data, u.beta.data,
+                                           u.running_mean, u.running_var)
+        out = ops.conv2d_execute(x, kernel, shift, u.spec, self.geometry)
+        if u.act:
+            np.maximum(out, 0.0, out=out)
+        return out
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """A model's units in execution order at one input ``(h, w)``: what depends
+    on the config and the input size only, worked out once for that size."""
+
+    hw: tuple[int, int]
+    stem: _UnitStep
+    blocks: tuple[tuple[tuple[_UnitStep, ...], bool], ...]  # per instance: units, residual
+    taps: tuple[int, ...]
+    heads: tuple[_UnitStep, ...]  # one per tap
+
+    @staticmethod
+    def build(model: "Model", h: int, w: int) -> "_Plan":
+        """Raises ShapeError naming the first unit whose kernel outgrows its input."""
+        def step(unit: _ConvUnit) -> _UnitStep:
+            nonlocal h, w
+            try:
+                geometry = ops.conv_geometry(unit.spec, h, w)
+            except ShapeError as exc:
+                raise ShapeError(f"{unit.name}: {exc}") from exc
+            h, w = geometry.out_hw
+            return _UnitStep(unit, geometry)
+
+        hw = (h, w)
+        stem = step(model.stem)
+        blocks, tap_hw = [], []
+        for block in model.blocks:
+            blocks.append((tuple(step(u) for u in block.units()), block.residual))
+            tap_hw.append((h, w))
+        heads = []
+        for t, head in zip(model.taps, model.heads):
+            h, w = tap_hw[t]
+            heads.append(step(head))
+        return _Plan(hw, stem, tuple(blocks), model.taps, tuple(heads))
+
+    def run(self, x, unit, add, pool) -> list:
+        """Pooled head outputs of ``x``, shallowest first: ``unit(step, a)`` runs one
+        unit on ``a``, ``add(a, b)`` is a residual sum and ``pool(a)`` pools a head."""
+        out = unit(self.stem, x)
+        tapped = {}
+        for i, (steps, residual) in enumerate(self.blocks):
+            y = out
+            for s in steps:
+                y = unit(s, y)
+            out = add(y, out) if residual else y
+            if i in self.taps:
+                tapped[i] = out
+        return [pool(unit(head, tapped[t])) for t, head in zip(self.taps, self.heads)]
 
 
 @dataclass
@@ -332,6 +404,7 @@ class Model:
         self.classifier = Tensor(np.empty((classifier_in, config.num_classes)), requires_grad=True)
         self.classifier_bias = Tensor(np.empty(config.num_classes), requires_grad=True)
         self.arena = self._pack()
+        self._plan: Optional[_Plan] = None  # the last input size's
         if seed is not _UNFILLED:
             self._initialize(np.random.default_rng(seed))
 
@@ -389,53 +462,43 @@ class Model:
 
     # -- execution -----------------------------------------------------------
 
-    def check_input_shape(self, h: int, w: int) -> None:
-        """Walk the shape law and name the first stage that collapses."""
-        try:
-            h, w = self.stem.spec.output_hw(h, w)
-        except ShapeError as exc:
-            raise ShapeError(f"stem: {exc}") from exc
-        for i, block in enumerate(self.blocks):
-            for unit in block.units():
-                try:
-                    h, w = unit.spec.output_hw(h, w)
-                except ShapeError as exc:
-                    raise ShapeError(f"block{i}.{unit.name.split('.')[-1]}: {exc}") from exc
+    def plan(self, h: int, w: int) -> _Plan:
+        """The units' plan at input ``(h, w)``, built on the first call at a new
+        size; raises ShapeError naming the first stage that collapses."""
+        plan = self._plan
+        if plan is None or plan.hw != (h, w):
+            plan = self._plan = _Plan.build(self, h, w)
+        return plan
 
     def forward(self, x: Tensor, training: bool = False) -> tuple[Tensor, MultiScaleEmbedding]:
         """Logits and multi-scale embedding of a batch.
 
         ``training=True`` normalizes with batch statistics, updates the
         running statistics and records every operation on an open
-        :class:`~dacnet.tensor.GradientTape`. Eval mode is inference: each
-        convolution unit folds its batch norm into its kernel
-        (:func:`~dacnet.ops.fold_batchnorm`) and records nothing on a tape,
-        so no gradient reaches the convolution units' inputs or parameters.
+        :class:`~dacnet.tensor.GradientTape`. Eval mode is inference: it walks
+        the plan on plain arrays, each unit folding its batch norm into its
+        kernel (:func:`~dacnet.ops.fold_batchnorm`), and records nothing on a
+        tape up to the classifier, so no gradient reaches the convolution
+        units' inputs or parameters.
         """
         if x.ndim != 4 or x.shape[1] != self.config.input_channels:
             raise ShapeError(
                 f"expected input (B, {self.config.input_channels}, H, W), got {x.shape}"
             )
-        self.check_input_shape(x.shape[2], x.shape[3])
-        out = self.stem(x, training)
-        tap_outputs: dict[int, Tensor] = {}
-        for i, block in enumerate(self.blocks):
-            out = block(out, training)
-            if i in self.taps:
-                tap_outputs[i] = out
-        pooled = [
-            ops.global_avg_pool(self.heads[j](tap_outputs[t], training))
-            for j, t in enumerate(self.taps)
-        ]
-        embedding = ops.concat(pooled) if len(pooled) > 1 else pooled[0]
+        plan = self.plan(x.shape[2], x.shape[3])
+        if training:
+            pooled = plan.run(x, lambda step, a: step.unit(a), ops.add, ops.global_avg_pool)
+            embedding = ops.concat(pooled) if len(pooled) > 1 else pooled[0]
+            scales = [p.data for p in pooled]
+        else:
+            scales = plan.run(x.data, _UnitStep.infer, lambda a, b: np.add(a, b, out=a),
+                              lambda a: a.mean(axis=(2, 3)))
+            embedding = Tensor(np.concatenate(scales, axis=1) if len(scales) > 1 else scales[0])
         hidden = embedding
         if self.fc_hidden is not None:
             hidden = ops.relu(ops.linear(embedding, self.fc_hidden, self.fc_hidden_bias))
         logits = ops.linear(hidden, self.classifier, self.classifier_bias)
-        mse = MultiScaleEmbedding(
-            scales=[p.data for p in pooled], embedding=embedding.data
-        )
-        return logits, mse
+        return logits, MultiScaleEmbedding(scales=scales, embedding=embedding.data)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self.forward(Tensor(x), training=False)

@@ -11,6 +11,14 @@ equals the analytic cost model exactly; an optional instrumentation context
 the kernels execute. The count covers the forward pass only and is the same
 whichever path below runs.
 
+A layer's geometry on one input size (its checked output size, whether it
+runs direct, depthwise or standard, and its tap windows) depends on the spec
+and ``(H, W)`` alone. :func:`conv_geometry` works it out once per shape and
+keeps it in a bounded cache, as :func:`_tap_windows` does for the windows of
+the backward passes. :func:`conv2d_forward` checks its operands and calls
+:func:`conv2d_execute`, the one convolution routine, which the inference
+plan of :mod:`dacnet.network` calls directly with the geometry it holds.
+
 Every pass that copies taps runs on block-local im2col columns (Chellapilla,
 Puri & Simard 2006), and :func:`_column_blocks` is the one place that makes
 them. It splits an ``(N, C, H, W)`` array into blocks of whole samples whose
@@ -71,13 +79,15 @@ output and states its gradients as a function of the output gradient;
 so no op decides for itself which inputs get one or who owns the array.
 Convolution and batch norm keep raw numpy kernels (``conv2d_forward`` /
 ``conv2d_backward``, ``batchnorm_forward`` / ``batchnorm_backward``, with
-:func:`fold_batchnorm` and :func:`log_softmax`), because inference runs them
-without a tape and the tests check them, and ``pointwise_batchnorm`` against
-them, directly; every other op is written out inside its taped op.
+:func:`fold_batchnorm` and :func:`log_softmax`), because inference runs the
+convolution and the fold without a tape and the tests check them, and
+``pointwise_batchnorm`` against them, directly; every other op is written
+out inside its taped op.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -221,6 +231,28 @@ def _check_conv_input(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec) -> None
         )
 
 
+@dataclass(frozen=True)
+class ConvGeometry:
+    """What one layer's execution needs to know of one input size, data aside."""
+
+    out_hw: tuple[int, int]
+    kind: str  # "direct" (see _is_direct), "depthwise" or "standard"
+    windows: tuple  # the forward's tap windows (_tap_windows); empty for a direct layer
+
+
+@functools.lru_cache(maxsize=1024)
+def conv_geometry(spec: ConvSpec, h: int, w: int) -> ConvGeometry:
+    """The checked output size, kind and tap windows of ``spec`` on an ``(h, w)``
+    input: a pure function of its arguments, so computed once per shape.
+    Raises ShapeError where the padded kernel does not fit."""
+    out_hw = spec.output_hw(h, w)
+    if _is_direct(spec):
+        return ConvGeometry(out_hw, "direct", ())
+    k = spec.kernel_size
+    windows = _tap_windows((k, k), spec.dilation, spec.stride, spec.pad, (h, w), out_hw)
+    return ConvGeometry(out_hw, "depthwise" if spec.mode == "depthwise" else "standard", windows)
+
+
 def conv2d_forward(
     x: np.ndarray,
     kernel: np.ndarray,
@@ -229,19 +261,30 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Direct dilated/strided convolution in any of the three modes."""
     _check_conv_input(x, kernel, spec)
-    ho, wo = spec.output_hw(x.shape[2], x.shape[3])
-    if spec.mode == "depthwise":
-        out = _depthwise_forward(x, kernel, spec, ho, wo)
+    return conv2d_execute(x, kernel, bias, spec, conv_geometry(spec, x.shape[2], x.shape[3]))
+
+
+def conv2d_execute(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    bias: Optional[np.ndarray],
+    spec: ConvSpec,
+    geometry: ConvGeometry,
+) -> np.ndarray:
+    """The convolution of :func:`conv2d_forward`, on operands already checked
+    against ``spec`` and an input size whose ``geometry`` is given."""
+    b, ci, h, w = x.shape
+    ho, wo = geometry.out_hw
+    if geometry.kind == "depthwise":
+        out = _depthwise_forward(x, kernel, geometry)
     else:
-        b, ci, h, w = x.shape
         k2 = spec.kernel_size ** 2
         out = np.empty((b, spec.out_channels, ho * wo), dtype=DTYPE)
-        if _is_direct(spec):
+        if geometry.kind == "direct":
             np.matmul(kernel[:, :, 0, 0], x.reshape(b, ci, h * w), out=out)
         else:
             flat_kernel = kernel.reshape(spec.out_channels, ci * k2)
-            for n0, n1, cols in _column_blocks(x, kernel.shape[2:], spec.dilation, spec.stride,
-                                               spec.pad, (ho, wo)):
+            for n0, n1, cols in _column_blocks(x, geometry.windows, geometry.out_hw):
                 np.matmul(flat_kernel, cols, out=out[n0:n1])
         _tally(out.size * ci * k2)
         out = out.reshape(b, spec.out_channels, ho, wo)
@@ -261,21 +304,22 @@ def conv2d_backward(
     """Exact adjoint of :func:`conv2d_forward`."""
     _check_conv_input(x, kernel, spec)
     b, ci, h, w = x.shape
-    ho, wo = spec.output_hw(h, w)
+    geometry = conv_geometry(spec, h, w)
+    ho, wo = geometry.out_hw
     if output_grad.shape != (b, spec.out_channels, ho, wo):
         raise ShapeError(
             f"output_grad shape {output_grad.shape} does not match forward output "
             f"{(b, spec.out_channels, ho, wo)}"
         )
     bias_grad = output_grad.sum(axis=(0, 2, 3)) if need_bias_grad else None
-    if spec.mode == "depthwise":
+    if geometry.kind == "depthwise":
         input_grad, kernel_grad = _depthwise_backward(
             output_grad, x, kernel, spec, need_input_grad
         )
         return input_grad, kernel_grad, bias_grad
 
     gout_flat = output_grad.reshape(b, spec.out_channels, ho * wo)
-    if _is_direct(spec):
+    if geometry.kind == "direct":
         # The whole input is the single tap window: one product per gradient.
         x_flat = x.reshape(b, ci, h * w)
         kernel_grad = _kernel_tap_grad(gout_flat, x_flat).reshape(kernel.shape)
@@ -288,8 +332,7 @@ def conv2d_backward(
     # which would hold a k*k-fold copy of the input for the whole step.
     flat_kernel = kernel.reshape(spec.out_channels, -1)
     kernel_grad = np.zeros_like(flat_kernel)
-    for n0, n1, cols in _column_blocks(x, kernel.shape[2:], spec.dilation, spec.stride,
-                                       spec.pad, (ho, wo)):
+    for n0, n1, cols in _column_blocks(x, geometry.windows, geometry.out_hw):
         kernel_grad += _kernel_tap_grad(gout_flat[n0:n1], cols)
     input_grad = _standard_input_grad(output_grad, kernel, spec, h, w) if need_input_grad else None
     return input_grad, kernel_grad.reshape(kernel.shape), bias_grad
@@ -362,32 +405,41 @@ def _tap_slices(k: int, d: int, s: int, pad: int, size: int,
     return slices
 
 
-def _column_blocks(x: np.ndarray, taps: tuple[int, int], d: int, s: int,
-                   pad: tuple[int, int], out_hw: tuple[int, int]):
+@functools.lru_cache(maxsize=4096)
+def _tap_windows(taps: tuple[int, int], d: int, s: int, pad: tuple[int, int],
+                 hw: tuple[int, int], out_hw: tuple[int, int]) -> tuple:
+    """Per kernel tap ``t = th*kw + tw`` of a layer on an ``hw`` input:
+    ``(t, out rows, out cols, in rows, in cols)``, the slices that
+    :func:`_column_blocks` copies. Pure, so cached per shape."""
+    kw = taps[1]
+    along_h, along_w = (_tap_slices(k, d, s, p, size, m)
+                        for k, p, size, m in zip(taps, pad, hw, out_hw))
+    return tuple((th * kw + tw, oh, ow, ih, iw)
+                 for th, (oh, ih) in enumerate(along_h) for tw, (ow, iw) in enumerate(along_w))
+
+
+def _column_blocks(x: np.ndarray, windows: tuple, out_hw: tuple[int, int]):
     """The im2col columns of ``x`` (N, C, H, W), one block of whole samples at a time.
 
     Yields ``(n0, n1, cols)``, where ``cols`` holds the ``(n1-n0, C*kh*kw,
     Ho*Wo)`` columns of samples ``n0:n1``: one per channel, tap and output,
-    in the order of ``kernel.reshape(C_out, C*kh*kw)``. Each call allocates
-    one zeroed buffer, so concurrent calls share nothing, and reuses it
-    across blocks: ``cols`` is valid until the next block. Only the window
-    parts inside the unpadded input are copied, so the buffer's zero border
-    stands for the padding.
+    in the order of ``kernel.reshape(C_out, C*kh*kw)``. ``windows`` are the
+    layer's :func:`_tap_windows` for ``x``'s size. Each call allocates one
+    zeroed buffer, so concurrent calls share nothing, and reuses it across
+    blocks: ``cols`` is valid until the next block. Only the window parts
+    inside the unpadded input are copied, so the buffer's zero border stands
+    for the padding.
     """
     n, c, h, w = x.shape
-    kh, kw = taps
-    step, blocks = _row_blocks(n, 8 * c * kh * kw * out_hw[0] * out_hw[1])
-    buf = np.zeros((step * c, kh * kw, *out_hw), dtype=DTYPE)
+    k2 = len(windows)
+    step, blocks = _row_blocks(n, 8 * c * k2 * out_hw[0] * out_hw[1])
+    buf = np.zeros((step * c, k2, *out_hw), dtype=DTYPE)
     rows = x.reshape(n * c, h, w)
-    along_h, along_w = (_tap_slices(k, d, s, p, size, m)
-                        for k, p, size, m in zip(taps, pad, (h, w), out_hw))
-    windows = [(th * kw + tw, oh, ow, ih, iw)
-               for th, (oh, ih) in enumerate(along_h) for tw, (ow, iw) in enumerate(along_w)]
     for n0, n1 in blocks:
         block, block_rows = buf[:(n1 - n0) * c], rows[n0 * c:n1 * c]
         for t, oh, ow, ih, iw in windows:
             block[:, t, oh, ow] = block_rows[:, ih, iw]
-        yield n0, n1, block.reshape(n1 - n0, c * kh * kw, -1)
+        yield n0, n1, block.reshape(n1 - n0, c * k2, -1)
 
 
 def _gradient_columns(g: np.ndarray, taps: tuple[int, int], d: int, pad: tuple[int, int],
@@ -399,7 +451,7 @@ def _gradient_columns(g: np.ndarray, taps: tuple[int, int], d: int, pad: tuple[i
     sum_q x[q] g[q-o].
     """
     g_pad = tuple(d * (k - 1) - p for k, p in zip(taps, pad))
-    return _column_blocks(g, taps, d, 1, g_pad, hw)
+    return _column_blocks(g, _tap_windows(taps, d, 1, g_pad, g.shape[2:], hw), hw)
 
 
 def _phases(spec: ConvSpec):
@@ -435,21 +487,20 @@ def _product_into(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _row_taps(kernel: np.ndarray, batch: int) -> np.ndarray:
-    """Kernel taps per (sample, channel) row: shape (batch * C, kh * kw)."""
-    return np.tile(kernel.reshape(kernel.shape[0], -1), (batch, 1))
+    """Kernel taps per (sample, channel) row: shape (batch * C, kh * kw); a view at batch 1."""
+    flat = kernel.reshape(kernel.shape[0], -1)
+    return flat if batch == 1 else np.tile(flat, (batch, 1))
 
 
-def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, spec: ConvSpec,
-                       ho: int, wo: int) -> np.ndarray:
+def _depthwise_forward(x: np.ndarray, kernel: np.ndarray, geometry: ConvGeometry) -> np.ndarray:
     b, c, h, w = x.shape
     n = b * c
     taps = _row_taps(kernel, b)[:, None, :]
-    out = np.empty((n, 1, ho * wo), dtype=DTYPE)
-    for r0, r1, cols in _column_blocks(x.reshape(n, 1, h, w), kernel.shape[2:], spec.dilation,
-                                       spec.stride, spec.pad, (ho, wo)):
+    out = np.empty((n, 1, geometry.out_hw[0] * geometry.out_hw[1]), dtype=DTYPE)
+    for r0, r1, cols in _column_blocks(x.reshape(n, 1, h, w), geometry.windows, geometry.out_hw):
         np.matmul(taps[r0:r1], cols, out=out[r0:r1])
     _tally(taps.shape[2] * out.size)
-    return out.reshape(b, c, ho, wo)
+    return out.reshape(b, c, *geometry.out_hw)
 
 
 def _depthwise_backward(

@@ -164,6 +164,8 @@ def predict_batches(model: Model, features: np.ndarray, batch_size: int = 32,
                     workers: int = 1) -> np.ndarray:
     """Logits of every segment in batches fixed by ``batch_size`` alone, run on
     ``workers`` threads, so they are identical for any worker count."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(features) == 0:
         raise DataError("cannot predict on an empty dataset")
     chunks = [features[i:i + batch_size] for i in range(0, len(features), batch_size)]

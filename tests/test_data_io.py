@@ -82,6 +82,22 @@ class TestManifest:
         with pytest.raises(DataError, match="missing audio file"):
             load_manifest(path)
 
+    def test_file_in_subdirectory_found(self, tmp_path):
+        (tmp_path / "audio" / "day1").mkdir(parents=True)
+        (tmp_path / "audio" / "day1" / "x.wav").write_bytes(b"")
+        path = tmp_path / "m.csv"
+        write_rows(path, [("audio/day1/x.wav", "Cooking", "train")])
+        assert [r.path for r in load_manifest(path).rows] == ["audio/day1/x.wav"]
+
+    def test_trailing_slash_on_a_file_is_missing(self, tmp_path):
+        """A row is a file path: ``x.wav/`` names a directory, which is not there."""
+        (tmp_path / "audio").mkdir()
+        (tmp_path / "audio" / "x.wav").write_bytes(b"")
+        path = tmp_path / "m.csv"
+        write_rows(path, [("audio/x.wav", "Cooking", "train"), ("audio/x.wav/", "Cooking", "test")])
+        with pytest.raises(DataError, match=r"m\.csv:3: missing audio file 'audio/x\.wav/'"):
+            load_manifest(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("file,class,subset\n")

@@ -1,6 +1,7 @@
 """Network construction, execution, ablation switches, and serialization."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dacnet import (
 )
 from dacnet import ops
 from dacnet.complexity import analyze_network
-from dacnet.network import Model, _ConvUnit, receptive_field
+from dacnet.network import Model, _ConvUnit, _UnitStep, receptive_field
 from dacnet.validation import config_from_dict
 
 
@@ -173,7 +174,7 @@ class TestForward:
     def test_spatial_collapse_names_stage(self):
         model = build_network(mini_config(), 0)
         with pytest.raises(ShapeError, match="stem"):
-            model.check_input_shape(28, 0)
+            model.plan(28, 0)
 
 
 class TestTape:
@@ -282,11 +283,35 @@ def randomize_batchnorm(unit, rng):
     unit.running_var[...] = rng.uniform(0.25, 4.0, c)
 
 
-def unfolded_call(unit, x, training):
-    """Eval forward of a unit as convolution, then batch norm on running statistics."""
-    out = ops.conv2d(x, unit.kernel, None, unit.spec)
-    return ops.batchnorm(out, unit.gamma, unit.beta, unit.running_mean, unit.running_var,
-                         training, relu=unit.act)
+def eval_walk(model, x, folded):
+    """Eval logits of ``model``, written out apart from its plan: each unit's
+    convolution (:func:`~dacnet.ops.conv2d_forward`), either with batch norm
+    folded into the kernel and ReLU in place, which is what inference runs, or
+    with its raw kernel followed by eval-mode batch norm; then the residual
+    adds, pooling, concatenation and the linear layers."""
+    def unit(u, a):
+        if folded:
+            kernel, shift = ops.fold_batchnorm(u.kernel.data, u.gamma.data, u.beta.data,
+                                               u.running_mean, u.running_var)
+            out = ops.conv2d_forward(a, kernel, shift, u.spec)
+            return np.maximum(out, 0.0, out=out) if u.act else out
+        out = ops.conv2d_forward(a, u.kernel.data, None, u.spec)
+        out, _ = ops.batchnorm_forward(out, u.gamma.data, u.beta.data, u.running_mean.copy(),
+                                       u.running_var.copy(), training=False, relu=u.act)
+        return out
+
+    out, tapped = unit(model.stem, x), []
+    for block in model.blocks:
+        y = out
+        for u in block.units():
+            y = unit(u, y)
+        out = y + out if block.residual else y
+        tapped.append(out)
+    embedding = np.concatenate([unit(head, tapped[t]).mean(axis=(2, 3))
+                                for t, head in zip(model.taps, model.heads)], axis=1)
+    if model.fc_hidden is not None:
+        embedding = np.maximum(embedding @ model.fc_hidden.data + model.fc_hidden_bias.data, 0.0)
+    return embedding @ model.classifier.data + model.classifier_bias.data
 
 
 def max_relative_error(got, want):
@@ -316,7 +341,7 @@ class TestFoldedInference:
                                         unit.running_mean.copy(), unit.running_var.copy(),
                                         training=False, relu=act)
         running = (unit.running_mean.copy(), unit.running_var.copy())
-        got = unit(Tensor(x), training=False).data
+        got = _UnitStep(unit, ops.conv_geometry(spec, *shape[2:])).infer(x)
         assert max_relative_error(got, want) <= 1e-12
         assert (got.min() >= 0.0) == act
         # inference leaves the unit's running statistics untouched
@@ -324,16 +349,128 @@ class TestFoldedInference:
         assert np.array_equal(unit.running_var, running[1])
 
     @pytest.mark.parametrize("preset", ["toy", "reference"])
-    def test_model_logits_match_unfolded_path(self, preset, monkeypatch):
+    def test_model_logits_match_unfolded_path(self, preset):
         model = build_network(load_preset(preset).network, 0)
         rng = np.random.default_rng(21)
         for unit in model.units():
             randomize_batchnorm(unit, rng)
         x = rng.standard_normal((2, 3, 28, 64))
         folded = model.predict_logits(x)
-        monkeypatch.setattr(_ConvUnit, "__call__", unfolded_call)
-        unfolded = model.predict_logits(x)
+        unfolded = eval_walk(model, x, folded=False)
         assert max_relative_error(folded, unfolded) <= 1e-12
+
+
+class TestInferencePlan:
+    """Eval mode runs from a per-input-size plan of the units; these pin it
+    against walks and models built apart from it."""
+
+    @pytest.mark.parametrize("preset", ["toy", "reference"])
+    @pytest.mark.parametrize("batch,width", [(1, 499), (3, 499), (1, 64), (3, 64)])
+    def test_logits_bit_identical_to_the_folded_walk(self, preset, batch, width):
+        model = build_network(load_preset(preset).network, 0)
+        rng = np.random.default_rng(22)
+        for unit in model.units():
+            randomize_batchnorm(unit, rng)
+        x = rng.standard_normal((batch, 3, 28, width))
+        got = model.predict_logits(x)
+        assert got.tobytes() == eval_walk(model, x, folded=True).tobytes()
+        assert max_relative_error(got, eval_walk(model, x, folded=False)) <= 1e-12
+
+    def test_parameter_writes_take_effect_at_the_next_call(self, tmp_path):
+        """Nothing the plan holds goes stale: after each direct write the logits
+        equal those of a model loaded from a checkpoint of the written state."""
+        model = build_network(load_preset("toy").network, 0)
+        rng = np.random.default_rng(23)
+        for unit in model.units():
+            randomize_batchnorm(unit, rng)
+        x = rng.standard_normal((2, 3, 28, 64))
+        before = model.predict_logits(x)
+        first = before
+        unit = model.blocks[2].depthwise
+        for i, array in enumerate([unit.gamma.data, unit.running_var, unit.kernel.data,
+                                   model.classifier.data]):
+            array *= 1.5
+            got = model.predict_logits(x)
+            model.save(tmp_path / f"{i}.dacm")
+            assert got.tobytes() == Model.load(tmp_path / f"{i}.dacm").predict_logits(x).tobytes()
+            assert not np.array_equal(got, before) and not np.array_equal(got, first)
+            before = got
+
+    def test_input_sizes_in_turn_match_fresh_models(self):
+        config = load_preset("toy").network
+        model = build_network(config, 0)
+        rng = np.random.default_rng(24)
+        for width in (64, 40, 64):
+            x = rng.standard_normal((2, 3, 28, width))
+            assert model.predict_logits(x).tobytes() == \
+                build_network(config, 0).predict_logits(x).tobytes()
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_collapsing_input_names_the_stem_and_leaves_the_model_usable(self, training):
+        """A 4x4 stem with padding 1 does not fit a width-1 input. The failed call
+        changes no state, and the model then runs as one that never saw it."""
+        config = mini_config(stem_kernel=4)
+        model, fresh = build_network(config, 0), build_network(config, 0)
+        x = Tensor(np.random.default_rng(25).standard_normal((2, 3, 28, 20)))
+        model.forward(x, training)
+        fresh.forward(x, training)
+        state = model.arena.copy()
+        with pytest.raises(ShapeError, match=r"^stem: effective kernel extent 4 exceeds "
+                                             r"padded input width 3$"):
+            model.forward(Tensor(x.data[..., :1]), training)
+        assert np.array_equal(model.arena, state)
+        assert model.forward(x, training)[0].data.tobytes() == \
+            fresh.forward(x, training)[0].data.tobytes()
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_collapsing_unit_is_named(self, training):
+        """The presets' depthwise units pad by their dilation and fit any input;
+        one given a wider kernel span without padding is named when it does not."""
+        model = build_network(mini_config(), 0)
+        unit = model.blocks[1].depthwise
+        unit.spec = replace(unit.spec, padding=0, dilation=6)
+        with pytest.raises(ShapeError, match=r"^block1\.depthwise: effective kernel extent 13 "
+                                             r"exceeds padded input width 10$"):
+            model.forward(Tensor(np.zeros((1, 3, 28, 20))), training)
+
+    def test_geometry_computed_once_per_shape(self, monkeypatch):
+        """A second training step and a second eval forward at the same input
+        size compute no tap window: forward and backward read cached geometry."""
+        model = build_network(load_preset("toy").network, 0)
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((2, 3, 28, 52)))
+        y = rng.integers(0, 9, 2)
+
+        def step_and_predict(width_batch):
+            model.zero_grad()
+            with GradientTape() as tape:
+                logits, _ = model.forward(x, training=True)
+                loss, _ = ops.softmax_cross_entropy(logits, y)
+            tape.backward(loss)
+            model.predict_logits(width_batch)
+
+        step_and_predict(x.data[:1])
+        calls = []
+        tap_slices = ops._tap_slices
+        monkeypatch.setattr(ops, "_tap_slices", lambda *args: calls.append(args) or
+                            tap_slices(*args))
+        step_and_predict(x.data[:1])
+        assert calls == []
+        model.predict_logits(rng.standard_normal((1, 3, 28, 53)))
+        assert calls  # a new input size does compute its windows
+
+    def test_input_types_match_contiguous_float64(self):
+        model = build_network(mini_config(), 0)
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((2, 3, 28, 40))
+        single = x.astype(np.float32)
+        assert model.predict_logits(single).tobytes() == \
+            model.predict_logits(single.astype(np.float64)).tobytes()
+        assert model.predict_logits(x.tolist()).tobytes() == model.predict_logits(x).tobytes()
+        for view in (x[..., ::2], x.transpose(0, 1, 3, 2)):
+            assert not view.flags.c_contiguous
+            assert model.predict_logits(view).tobytes() == \
+                model.predict_logits(np.ascontiguousarray(view)).tobytes()
 
 
 class TestGradientsEndToEnd:

@@ -5,6 +5,7 @@ import pytest
 
 from dacnet import (
     BlockSpec,
+    ConfigError,
     DataError,
     GradientTape,
     NetworkConfig,
@@ -150,6 +151,15 @@ class TestEvaluate:
         model = build_network(tiny_config(), 0)
         with pytest.raises(DataError, match="empty"):
             predict_batches(model, np.zeros((0, 3, 28, 20)))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model = build_network(tiny_config(), 0)
+        x = np.random.default_rng(3).standard_normal((3, 3, 28, 20))
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+            predict_batches(model, x, batch_size)
+        with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+            evaluate(model, x, np.zeros(3, dtype=int), batch_size=batch_size)
 
     def test_accuracy_equals_trace_over_total(self):
         model = build_network(tiny_config(), 0)
