@@ -1,5 +1,6 @@
 """Analytic cost model: formula cases, dual-route equality, exact identities."""
 
+import hashlib
 import sys
 import threading
 from fractions import Fraction
@@ -19,7 +20,7 @@ from dacnet import (
     load_preset,
 )
 from dacnet.complexity import TARGET_MAO, TARGET_PS, bn_params, deviation_summary, linear_params
-from dacnet.network import BlockSpec, ablation_variant
+from dacnet.network import BlockSpec, ablation_variant, receptive_field
 
 
 class TestFormulaCases:
@@ -222,3 +223,44 @@ class TestNetworkReport:
         doc = report.to_dict()
         assert doc["total_params"] == report.total_params
         assert len(doc["layers"]) == len(report.rows)
+
+
+# SHA-256 of analyze_network(...).to_json() and .to_text() at (1, 3, 28, 499), and
+# receptive_field(config, i) for every block instance i, per preset and ablation.
+PINNED_REPORTS = {
+    ("toy", "full"): (
+        "e65d5959498ee3342840a608e636dbe2bd279376a3cfa38a87736aa1beea1a5d",
+        "a357c123dda7264ed2bc1f6ab9d4e96516ebdc0a951f72e958ac914ae6ca4510",
+        [11, 27, 59, 91, 155, 219]),
+    ("toy", "no_dco"): (
+        "e65d5959498ee3342840a608e636dbe2bd279376a3cfa38a87736aa1beea1a5d",
+        "a357c123dda7264ed2bc1f6ab9d4e96516ebdc0a951f72e958ac914ae6ca4510",
+        [7, 15, 31, 47, 79, 111]),
+    ("toy", "no_mse"): (
+        "ef22924724df86a7d1d5d216905f33b9b79ca2ce34b25e0c7793edcaa476c240",
+        "273a23bf1a50a7f425276de439e93a37d97516df82eb3a1e0a2ba78950e88053",
+        [11, 27, 59, 91, 155, 219]),
+    ("reference", "full"): (
+        "43aace501520cb6783da9672102f182e7be2c57ac16f5fcddef0650f48210612",
+        "a194c85f10e2cf254a501f1defd133eabc3a194c4e3d9e633218a86a9b6b8498",
+        [11, 19, 35, 51, 83, 115, 147, 179, 211, 243, 275, 307, 371, 435, 499, 563]),
+    ("reference", "no_dco"): (
+        "43aace501520cb6783da9672102f182e7be2c57ac16f5fcddef0650f48210612",
+        "a194c85f10e2cf254a501f1defd133eabc3a194c4e3d9e633218a86a9b6b8498",
+        [7, 11, 19, 27, 43, 59, 75, 91, 107, 123, 139, 155, 187, 219, 251, 283]),
+    ("reference", "no_mse"): (
+        "ec1ed11919226fd4e2e7b955ab0fbc20a176417136db0e5de3e487f5cb0f118c",
+        "a5e2e2c315142ba2da6ed4e4940ae78687c92b0db7a886197a3156ce18f9a665",
+        [11, 19, 35, 51, 83, 115, 147, 179, 211, 243, 275, 307, 371, 435, 499, 563]),
+}
+
+
+@pytest.mark.parametrize("preset, variant", sorted(PINNED_REPORTS))
+def test_report_and_receptive_fields_are_pinned(preset, variant):
+    """The analyze report's bytes and every instance's receptive field, fixed."""
+    config = ablation_variant(load_preset(preset).network, variant)
+    report = analyze_network(config, (1, 3, 28, 499))
+    json_sha, text_sha, fields = PINNED_REPORTS[preset, variant]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == json_sha
+    assert hashlib.sha256(report.to_text().encode()).hexdigest() == text_sha
+    assert [receptive_field(config, i) for i in range(len(config.instances()))] == fields
