@@ -25,12 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .network import (
-    NetworkConfig,
-    head_conv_spec,
-    instance_conv_specs,
-    stem_conv_spec,
-)
+from .network import NetworkConfig, layout
 from .ops import ConvSpec
 
 
@@ -140,47 +135,29 @@ class ComplexityReport:
 def analyze_network(
     config: NetworkConfig, input_shape: tuple[int, int, int, int] = (1, 3, 28, 499)
 ) -> ComplexityReport:
-    """Walk the execution plan accumulating analytic params and MACs.
+    """Fold over the units of :func:`~dacnet.network.layout`, the same layout
+    the model executes, at the input size: a conv row and a batch-norm row per
+    unit, then the linear layers. A unit the input is too small for raises
+    ShapeError naming it, as ``Model.plan`` does.
 
     MAO is reported per input sample; the batch entry of ``input_shape`` is
     accepted for interface symmetry but does not scale the count.
     """
-    config.validate()
+    net = layout(config)
     _, c, h, w = input_shape
     if c != config.input_channels:
         raise ConfigError(
             f"input has {c} channels, network expects {config.input_channels}"
         )
     report = ComplexityReport()
+    for step in net.at(h, w).units():
+        name, spec, _ = step.unit
+        out_shape = (spec.out_channels, *step.geometry.out_hw)
+        report.add(name, "conv", layer_params(spec), layer_macs(spec, step.geometry.out_hw),
+                   out_shape)
+        report.add(f"{name}.bn", "bn", bn_params(spec.out_channels), 0, out_shape)
 
-    def conv_row(name: str, spec: ConvSpec, h: int, w: int):
-        ho, wo = spec.output_hw(h, w)
-        report.add(name, "conv", layer_params(spec), layer_macs(spec, (ho, wo)),
-                   (spec.out_channels, ho, wo))
-        report.add(f"{name}.bn", "bn", bn_params(spec.out_channels), 0,
-                   (spec.out_channels, ho, wo))
-        return ho, wo
-
-    h, w = conv_row("stem", stem_conv_spec(config), h, w)
-
-    taps = config.tap_indices()
-    tap_shapes: dict[int, tuple[int, int]] = {}
-    for i, inst in enumerate(config.instances()):
-        expand, depthwise, project = instance_conv_specs(inst)
-        h0, w0 = h, w
-        h0, w0 = conv_row(f"block{i}.expand", expand, h0, w0)
-        h0, w0 = conv_row(f"block{i}.depthwise", depthwise, h0, w0)
-        h0, w0 = conv_row(f"block{i}.project", project, h0, w0)
-        h, w = h0, w0
-        if i in taps:
-            tap_shapes[i] = (h, w)
-
-    tap_channels = config.instances()[taps[0]].out_channels
-    for j, t in enumerate(taps):
-        th, tw = tap_shapes[t]
-        conv_row(f"head{j}", head_conv_spec(config, tap_channels), th, tw)
-
-    embed_width = config.mse_projection_channels * len(taps)
+    embed_width = config.mse_projection_channels * len(net.taps)
     classifier_in = embed_width
     if config.literal_fc_head:
         report.add("fc_hidden", "linear",

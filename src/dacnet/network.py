@@ -7,18 +7,20 @@ per-scale embedding heads (1x1 projection + global average pooling) tapped at
 the last three block instances, concatenation into a multi-scale embedding,
 and a linear classifier.
 
-``NetworkConfig.instances()`` is the single source of architectural truth:
-both the executable :class:`Model` and the analytic cost walk in
-:mod:`dacnet.complexity` are derived from it.
+:func:`layout` is the single source of architectural truth: it builds every
+unit's name, ConvSpec and ReLU flag from a ``NetworkConfig``, in the
+network's shape (stem, block instances with their residual flags, taps,
+heads). The executable :class:`Model` maps it to units that own parameters,
+``Model.plan`` maps those to their convolution geometry at one input size
+(:meth:`Layout.at`), and :func:`receptive_field` and the analytic cost walk in
+:mod:`dacnet.complexity` fold over it.
 
-``Model.forward`` walks a plan of the units at the input's ``(h, w)``
-(:class:`_Plan`): each unit's spec, convolution geometry and ReLU flag, the
-residual flags and the taps. It is built once per input size, and only the
-last size's is kept; building it is the shape check, which names the first
-unit the input is too small for. The plan holds no parameter, statistic or
-folded kernel, so in eval mode each unit still folds its batch norm into its
-kernel on every call, and a parameter written between calls takes effect at
-the next one.
+``Model.forward`` walks the plan at the input's ``(h, w)``. It is built once
+per input size, and only the last size's is kept; building it is the shape
+check, which names the first unit the input is too small for. The plan holds
+no parameter, statistic or folded kernel, so in eval mode each unit still
+folds its batch norm into its kernel on every call, and a parameter written
+between calls takes effect at the next one.
 
 Model files ("DACM") are: magic "DACM", a version byte, a little-endian
 uint32 length plus that many bytes of config JSON, then ``Model.arena``: every
@@ -32,7 +34,7 @@ import os
 import struct
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -148,8 +150,7 @@ class NetworkConfig:
     def validate(self) -> None:
         if not self.blocks:
             raise ConfigError("network needs at least one block")
-        self.instances()
-        self.tap_indices()
+        self.tap_indices()  # walks instances() first, so a broken channel chain fails there
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -173,58 +174,130 @@ def ablation_variant(config: NetworkConfig, which: str) -> NetworkConfig:
 
 
 # ---------------------------------------------------------------------------
-# Layer specs shared by the executable model and the analytic cost walk
+# Layout: the network's units, built once for the model, its plan and the cost walk
 # ---------------------------------------------------------------------------
 
 
-def stem_conv_spec(config: NetworkConfig) -> ConvSpec:
-    return ConvSpec(
-        kernel_size=config.stem_kernel,
-        in_channels=config.input_channels,
-        out_channels=config.stem_channels,
-        stride=config.stem_stride,
-        padding=(config.stem_kernel - 1) // 2,
-        mode="standard",
-    )
+class Unit(NamedTuple):
+    """One convolution of the network, batch norm included, as the config gives it."""
+
+    name: str
+    spec: ConvSpec
+    act: bool  # ReLU after batch norm
 
 
-def instance_conv_specs(inst: InstanceSpec) -> tuple[ConvSpec, ConvSpec, ConvSpec]:
-    """The three convolutions of one block instance: expand, depthwise, project.
+class Instance(NamedTuple):
+    """One block instance's three units and whether its input is added to its output."""
 
-    The depthwise layer carries the dilation; its padding equals the dilation
-    so a stride-1 instance preserves the spatial extent. Dilation on the 1x1
-    layers would be a no-op by definition.
+    expand: Any
+    depthwise: Any
+    project: Any
+    residual: bool
+
+    def units(self) -> tuple:
+        return self.expand, self.depthwise, self.project
+
+
+class Layout(NamedTuple):
+    """The network's units in the shape of the network: the stem, the block
+    instances, the tap indices and one head per tap. Each unit is a
+    :class:`Unit` in :func:`layout`'s result and whatever :meth:`map` made
+    of it after that: a model's :class:`_ConvUnit`, a plan's :class:`_UnitStep`."""
+
+    stem: Any
+    blocks: tuple[Instance, ...]
+    taps: tuple[int, ...]
+    heads: tuple[Any, ...]
+
+    def units(self) -> list:
+        """Every unit in declaration order: stem, block units, heads."""
+        return [self.stem, *(u for block in self.blocks for u in block.units()), *self.heads]
+
+    def map(self, fn) -> "Layout":
+        """The same network with ``fn(unit)`` in place of each unit, applied in
+        declaration order."""
+        return Layout(fn(self.stem),
+                      tuple(Instance(*map(fn, b.units()), b.residual) for b in self.blocks),
+                      self.taps, tuple(map(fn, self.heads)))
+
+    def at(self, h: int, w: int) -> "Layout":
+        """The plan at input ``(h, w)``: each unit ``u`` as ``_UnitStep(u, geometry)``
+        with its convolution's geometry there. Raises ShapeError naming the first
+        unit whose kernel outgrows its input."""
+        def step(unit) -> _UnitStep:
+            nonlocal h, w
+            try:
+                geometry = ops.conv_geometry(unit.spec, h, w)
+            except ShapeError as exc:
+                raise ShapeError(f"{unit.name}: {exc}") from exc
+            h, w = geometry.out_hw
+            return _UnitStep(unit, geometry)
+
+        stem = step(self.stem)
+        blocks = tuple(Instance(*map(step, b.units()), b.residual) for b in self.blocks)
+        heads = []
+        for t, head in zip(self.taps, self.heads):
+            h, w = blocks[t].project.geometry.out_hw
+            heads.append(step(head))
+        return Layout(stem, blocks, self.taps, tuple(heads))
+
+    def run(self, x, unit, add, pool) -> list:
+        """Pooled head outputs of ``x``, shallowest first: ``unit(u, a)`` runs unit
+        ``u`` on ``a``, ``add(a, b)`` is a residual sum and ``pool(a)`` pools a head."""
+        out = unit(self.stem, x)
+        tapped = {}
+        for i, block in enumerate(self.blocks):
+            y = out
+            for u in block.units():
+                y = unit(u, y)
+            out = add(y, out) if block.residual else y
+            if i in self.taps:
+                tapped[i] = out
+        return [pool(unit(head, tapped[t])) for t, head in zip(self.taps, self.heads)]
+
+
+def layout(config: NetworkConfig) -> Layout:
+    """The units of a validated config: the one place their ConvSpecs are built.
+
+    A block instance is a pointwise expansion, a dilated depthwise 3x3 and a
+    pointwise projection without ReLU. The depthwise layer carries the
+    dilation; its padding equals the dilation so a stride-1 instance preserves
+    the spatial extent. Dilation on the 1x1 layers would be a no-op by
+    definition. Only an instance that keeps its stride and width adds its input.
     """
-    expand = ConvSpec(1, inst.in_channels, inst.expanded, mode="pointwise")
-    depthwise = ConvSpec(
-        kernel_size=3, in_channels=inst.expanded, out_channels=inst.expanded,
-        stride=inst.stride, padding=inst.dilation, dilation=inst.dilation,
-        mode="depthwise",
-    )
-    project = ConvSpec(1, inst.expanded, inst.out_channels, mode="pointwise")
-    return expand, depthwise, project
+    config.validate()
+    instances, taps = config.instances(), config.tap_indices()
+    stem = ConvSpec(config.stem_kernel, config.input_channels, config.stem_channels,
+                    stride=config.stem_stride, padding=(config.stem_kernel - 1) // 2)
 
+    def instance(i: int, inst: InstanceSpec) -> Instance:
+        c, d = inst.expanded, inst.dilation
+        return Instance(
+            Unit(f"block{i}.expand", ConvSpec(1, inst.in_channels, c, mode="pointwise"), True),
+            Unit(f"block{i}.depthwise", ConvSpec(3, c, c, stride=inst.stride, padding=d,
+                                                  dilation=d, mode="depthwise"), True),
+            Unit(f"block{i}.project", ConvSpec(1, c, inst.out_channels, mode="pointwise"), False),
+            config.residual_enabled and inst.stride == 1 and inst.in_channels == inst.out_channels)
 
-def head_conv_spec(config: NetworkConfig, tap_channels: int) -> ConvSpec:
-    return ConvSpec(1, tap_channels, config.mse_projection_channels, mode="pointwise")
+    head = ConvSpec(1, instances[taps[0]].out_channels, config.mse_projection_channels,
+                    mode="pointwise")
+    return Layout(Unit("stem", stem, True), tuple(map(instance, range(len(instances)), instances)),
+                  taps, tuple(Unit(f"head{j}", head, True) for j in range(len(taps))))
 
 
 def receptive_field(config: NetworkConfig, upto_instance: Optional[int] = None) -> int:
-    """Input extent seen by one unit of the (deepest by default) tap.
+    """Input extent seen by one output position of a block instance (the deepest
+    by default).
 
-    Recurrence per convolution: r' = r + (k - 1) * d * jump, jump' = jump * s.
-    Pointwise layers contribute nothing.
+    Folds r' = r + (k - 1) * d * jump, jump' = jump * s over the stem and the
+    block units up to that instance; pointwise units contribute nothing.
     """
-    instances = config.instances()
-    if upto_instance is None:
-        upto_instance = len(instances) - 1
+    net = layout(config)
+    blocks = net.blocks if upto_instance is None else net.blocks[:upto_instance + 1]
     r, jump = 1, 1
-    stem = stem_conv_spec(config)
-    r += (stem.kernel_size - 1) * stem.dilation * jump
-    jump *= stem.stride
-    for inst in instances[:upto_instance + 1]:
-        r += 2 * inst.dilation * jump  # depthwise 3x3
-        jump *= inst.stride
+    for _, spec, _ in net._replace(blocks=blocks, heads=()).units():
+        r += (spec.kernel_size - 1) * spec.dilation * jump
+        jump *= spec.stride
     return r
 
 
@@ -246,7 +319,7 @@ class _ConvUnit:
     The arrays are allocated uninitialized; the model packs and fills them.
     """
 
-    bn = True  # every unit normalizes; kept readable for code that inspects units
+    bn = True  # every unit normalizes; read outside the tests by benchmarks/layertrace.py:253
 
     def __init__(self, name: str, spec: ConvSpec, act: bool = True):
         self.name = name
@@ -273,32 +346,12 @@ class _ConvUnit:
                 (f"{self.name}.beta", self.beta)]
 
 
-class _Block:
-    def __init__(self, name: str, inst: InstanceSpec, residual: bool):
-        expand, depthwise, project = instance_conv_specs(inst)
-        self.name = name
-        self.expand = _ConvUnit(f"{name}.expand", expand)
-        self.depthwise = _ConvUnit(f"{name}.depthwise", depthwise)
-        self.project = _ConvUnit(f"{name}.project", project, act=False)
-        self.residual = residual and inst.stride == 1 and inst.in_channels == inst.out_channels
-
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        """The block's taped training forward; eval mode runs from the model's plan."""
-        if not training:
-            raise ValueError("a block runs in training mode only; eval runs Model.forward")
-        out = self.project(self.depthwise(self.expand(x)))
-        return ops.add(out, x) if self.residual else out
-
-    def units(self) -> list[_ConvUnit]:
-        return [self.expand, self.depthwise, self.project]
-
-
 @dataclass(frozen=True)
 class _UnitStep:
     """One unit at one input size: the unit, whose parameters and statistics are
     read at each call, and its convolution's geometry there."""
 
-    unit: _ConvUnit
+    unit: Any
     geometry: ops.ConvGeometry
 
     def infer(self, x: np.ndarray) -> np.ndarray:
@@ -311,56 +364,6 @@ class _UnitStep:
         if u.act:
             np.maximum(out, 0.0, out=out)
         return out
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """A model's units in execution order at one input ``(h, w)``: what depends
-    on the config and the input size only, worked out once for that size."""
-
-    hw: tuple[int, int]
-    stem: _UnitStep
-    blocks: tuple[tuple[tuple[_UnitStep, ...], bool], ...]  # per instance: units, residual
-    taps: tuple[int, ...]
-    heads: tuple[_UnitStep, ...]  # one per tap
-
-    @staticmethod
-    def build(model: "Model", h: int, w: int) -> "_Plan":
-        """Raises ShapeError naming the first unit whose kernel outgrows its input."""
-        def step(unit: _ConvUnit) -> _UnitStep:
-            nonlocal h, w
-            try:
-                geometry = ops.conv_geometry(unit.spec, h, w)
-            except ShapeError as exc:
-                raise ShapeError(f"{unit.name}: {exc}") from exc
-            h, w = geometry.out_hw
-            return _UnitStep(unit, geometry)
-
-        hw = (h, w)
-        stem = step(model.stem)
-        blocks, tap_hw = [], []
-        for block in model.blocks:
-            blocks.append((tuple(step(u) for u in block.units()), block.residual))
-            tap_hw.append((h, w))
-        heads = []
-        for t, head in zip(model.taps, model.heads):
-            h, w = tap_hw[t]
-            heads.append(step(head))
-        return _Plan(hw, stem, tuple(blocks), model.taps, tuple(heads))
-
-    def run(self, x, unit, add, pool) -> list:
-        """Pooled head outputs of ``x``, shallowest first: ``unit(step, a)`` runs one
-        unit on ``a``, ``add(a, b)`` is a residual sum and ``pool(a)`` pools a head."""
-        out = unit(self.stem, x)
-        tapped = {}
-        for i, (steps, residual) in enumerate(self.blocks):
-            y = out
-            for s in steps:
-                y = unit(s, y)
-            out = add(y, out) if residual else y
-            if i in self.taps:
-                tapped[i] = out
-        return [pool(unit(head, tapped[t])) for t, head in zip(self.taps, self.heads)]
 
 
 @dataclass
@@ -382,19 +385,9 @@ class Model:
     """Parameter set plus execution plan for one NetworkConfig; ``arena`` holds the state."""
 
     def __init__(self, config: NetworkConfig, seed: int = 0):
-        config.validate()
         self.config = config
-        self.stem = _ConvUnit("stem", stem_conv_spec(config))
-        self.blocks = [
-            _Block(f"block{i}", inst, config.residual_enabled)
-            for i, inst in enumerate(config.instances())
-        ]
-        self.taps = config.tap_indices()
-        tap_channels = config.instances()[self.taps[0]].out_channels
-        self.heads = [
-            _ConvUnit(f"head{j}", head_conv_spec(config, tap_channels))
-            for j in range(len(self.taps))
-        ]
+        self.layout = layout(config).map(lambda u: _ConvUnit(*u))
+        self.stem, self.blocks, self.taps, self.heads = self.layout
         classifier_in = embed_width = config.mse_projection_channels * len(self.taps)
         self.fc_hidden = self.fc_hidden_bias = None
         if config.literal_fc_head:
@@ -404,7 +397,7 @@ class Model:
         self.classifier = Tensor(np.empty((classifier_in, config.num_classes)), requires_grad=True)
         self.classifier_bias = Tensor(np.empty(config.num_classes), requires_grad=True)
         self.arena = self._pack()
-        self._plan: Optional[_Plan] = None  # the last input size's
+        self._plan: Optional[tuple[tuple[int, int], Layout]] = None  # the last input size's
         if seed is not _UNFILLED:
             self._initialize(np.random.default_rng(seed))
 
@@ -436,11 +429,8 @@ class Model:
 
     # -- parameters ----------------------------------------------------------
 
-    def units(self) -> Iterator[_ConvUnit]:
-        yield self.stem
-        for block in self.blocks:
-            yield from block.units()
-        yield from self.heads
+    def units(self) -> list[_ConvUnit]:
+        return self.layout.units()
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         out: list[tuple[str, Tensor]] = []
@@ -462,13 +452,13 @@ class Model:
 
     # -- execution -----------------------------------------------------------
 
-    def plan(self, h: int, w: int) -> _Plan:
-        """The units' plan at input ``(h, w)``, built on the first call at a new
-        size; raises ShapeError naming the first stage that collapses."""
-        plan = self._plan
-        if plan is None or plan.hw != (h, w):
-            plan = self._plan = _Plan.build(self, h, w)
-        return plan
+    def plan(self, h: int, w: int) -> Layout:
+        """The units' plan at input ``(h, w)`` (:meth:`Layout.at`), built on the
+        first call at a new size; raises ShapeError naming the first unit that
+        collapses."""
+        if self._plan is None or self._plan[0] != (h, w):
+            self._plan = ((h, w), self.layout.at(h, w))
+        return self._plan[1]
 
     def forward(self, x: Tensor, training: bool = False) -> tuple[Tensor, MultiScaleEmbedding]:
         """Logits and multi-scale embedding of a batch.

@@ -209,6 +209,11 @@ class TestExitCodes:
         assert f"config error: {message}" in err
         assert "Traceback" not in err
 
+    def test_analyze_names_the_collapsing_unit(self, capsys):
+        rc = main(["analyze", "--preset", "toy", "--frames", "0"])
+        self.assert_config_error(
+            rc, capsys, "stem: effective kernel extent 3 exceeds padded input width 2")
+
     def test_unknown_network_key_is_2(self, tmp_path, capsys):
         doc = preset_dict("toy")
         doc["network"]["residual_enabld"] = False

@@ -209,9 +209,10 @@ class TestNetworkReport:
         assert a.total_macs == b.total_macs
 
     def test_single_block_hand_count_via_analytics(self):
-        from dacnet.network import InstanceSpec, instance_conv_specs
-        inst = InstanceSpec(4, 4, 1, 1, 1)
-        expand, depthwise, project = instance_conv_specs(inst)
+        from dacnet.network import layout
+        config = NetworkConfig(stem_channels=4, blocks=(BlockSpec(4, 4, 1, 1, 1, 1),),
+                               mse_enabled=False, mse_projection_channels=8)
+        expand, depthwise, project = (u.spec for u in layout(config).blocks[0].units())
         total = (layer_params(expand) + layer_params(depthwise) + layer_params(project)
                  + bn_params(4) * 3)
         assert total == 92

@@ -15,6 +15,7 @@ from dacnet import (
     adam_step,
     build_network,
     evaluate,
+    load_preset,
     lr_schedule,
     train,
 )
@@ -160,6 +161,17 @@ class TestEvaluate:
             predict_batches(model, x, batch_size)
         with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
             evaluate(model, x, np.zeros(3, dtype=int), batch_size=batch_size)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_threads_keep_the_callers_error_state(self, workers):
+        """A classifier of 1e308 overflows the logits; under the error state the
+        CLI sets, that raises on pool threads as it does on the caller's."""
+        model = build_network(load_preset("toy").network, 0)
+        model.classifier.data[...] = 1e308
+        x = np.random.default_rng(5).standard_normal((64, 3, 28, 20))
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError):
+                predict_batches(model, x, workers=workers)
 
     def test_accuracy_equals_trace_over_total(self):
         model = build_network(tiny_config(), 0)
