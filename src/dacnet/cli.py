@@ -1,8 +1,9 @@
 """Command-line pipeline: synth-data | features | train | eval | analyze | ablate.
 
-All randomness flows from --seed. --workers controls file/batch parallelism;
-worker count never changes numeric results (N=1 is the reference behavior
-every other N matches bit-exactly). Exit codes: 0 ok, 2 config error,
+All randomness flows from the run config's train.seed, which --seed sets
+(synth-data's --seed seeds the corpus). --workers (>= 1) controls file/batch
+parallelism; worker count never changes numeric results (N=1 is the reference
+behavior every other N matches bit-exactly). Exit codes: 0 ok, 2 config error,
 3 data error, 4 numeric failure. The cache root comes from --cache-dir or
 the DACNET_CACHE environment variable.
 
@@ -45,10 +46,9 @@ from .presets import PRESETS, load_preset, resolve_run_config
 from .training import EpochRecord, evaluate, train
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1,
-                        help="file/batch parallelism; never changes results")
+                        help="file/batch parallelism, >= 1; never changes results")
 
 
 def _add_config(parser: argparse.ArgumentParser) -> None:
@@ -59,6 +59,8 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="dotted-path config override, e.g. train.max_epochs=5")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master random seed; unset, the config's train.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-per-class", type=int, default=60)
     p.add_argument("--val-per-class", type=int, default=0)
     p.add_argument("--test-per-class", type=int, default=20)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    _add_workers(p)
 
     p = sub.add_parser("features", help="extract and cache log-Mel features",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -85,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=Path, default=None,
                    help="cache root (default: $DACNET_CACHE or <data>/cache)")
     _add_config(p)
-    _add_common(p)
+    _add_workers(p)
 
     p = sub.add_parser("train", help="train a model on cached features",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -95,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, default=None,
                    help="override the configured epoch budget")
     _add_config(p)
-    _add_common(p)
+    _add_workers(p)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -105,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--cache-dir", type=Path, default=None)
     _add_config(p)
-    _add_common(p)
+    _add_workers(p)
 
     p = sub.add_parser("analyze", help="analytic parameter/MAC report",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "10 s segment under the run's frontend")
     p.add_argument("--json-out", type=Path, default=None, help="also write JSON here")
     _add_config(p)
-    _add_common(p)
+    _add_workers(p)
 
     p = sub.add_parser("ablate", help="train full / no-dilation / single-scale variants",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", type=Path, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     _add_config(p)
-    _add_common(p)
+    _add_workers(p)
 
     return parser
 
@@ -136,7 +139,12 @@ def _cache_root(args, data_dir: Path) -> Path:
 
 
 def _resolve(args):
-    return resolve_run_config(args.preset, args.config, args.overrides)
+    """The run config of --preset or --config and --set, with --seed and
+    --max-epochs (train and ablate only) written into its train section when given."""
+    run = resolve_run_config(args.preset, args.config, args.overrides)
+    flags = {"seed": args.seed, "max_epochs": getattr(args, "max_epochs", None)}
+    given = {name: value for name, value in flags.items() if value is not None}
+    return replace(run, train=replace(run.train, **given))
 
 
 @contextmanager
@@ -190,19 +198,12 @@ def _load_features(args, corpus, required, optional=()):
             if split in required or manifest.split(split)}
 
 
-def _train_one(run, data, seed, out_dir: Path, log_lines: list[str], max_epochs=None):
-    """Shared by train and ablate: fit one model, write checkpoints + log."""
-    epochs = {} if max_epochs is None else {"max_epochs": max_epochs}
-    train_cfg = replace(run.train, seed=seed, **epochs)
-
+def _train_one(run, data, out_dir: Path):
+    """Shared by train and ablate: fit one model as ``run`` says, write checkpoints + log."""
     xtr, ytr = data["train"]
     val = data.get("validation")
-    model = build_network(run.network, seed=seed)
+    model = build_network(run.network, seed=run.train.seed)
     best = {"ca": -1.0, "epoch": 0}
-
-    def log(line: str) -> None:
-        log_lines.append(line)
-        print(line)
 
     def on_epoch_end(record: EpochRecord, m: Model) -> None:
         m.save(out_dir / "checkpoint_last.dacm")
@@ -211,17 +212,17 @@ def _train_one(run, data, seed, out_dir: Path, log_lines: list[str], max_epochs=
             m.save(out_dir / "checkpoint_best.dacm")
 
     history = train(
-        model, xtr, ytr, train_cfg,
+        model, xtr, ytr, run.train,
         val_features=val[0] if val else None,
         val_labels=val[1] if val else None,
-        log=log, on_epoch_end=on_epoch_end,
+        log=print, on_epoch_end=on_epoch_end,
     )
     if not history:  # max_epochs = 0: checkpoint the initial weights, no steps
         model.save(out_dir / "checkpoint_last.dacm")
     if best["epoch"] == 0:
         model.save(out_dir / "checkpoint_best.dacm")
         best["epoch"] = len(history)
-    _write_text(out_dir / "train_log.txt", "\n".join(log_lines) + "\n" if log_lines else "")
+    _write_text(out_dir / "train_log.txt", "".join(f"{r.line()}\n" for r in history))
     return model, history, best
 
 
@@ -253,9 +254,7 @@ def cmd_train(args) -> None:
     with _run_directory(args.out):
         data = _load_features(args, corpus, ("train",), ("validation",))
         _write_text(args.out / "config.json", run.to_json() + "\n")
-        model, history, best = _train_one(
-            run, data, args.seed, args.out, [], max_epochs=args.max_epochs
-        )
+        model, history, best = _train_one(run, data, args.out)
     if history:
         last = history[-1]
         print(f"finished: last epoch {last.epoch}, train loss {last.train_loss:.6f}")
@@ -286,7 +285,7 @@ def cmd_analyze(args) -> None:
     frames = run.frontend.n_frames(SEGMENT_SAMPLES) if args.frames is None else args.frames
     input_shape = (1, run.network.input_channels, run.frontend.mel_bins, frames)
     report = analyze_network(run.network, input_shape)
-    full_params = build_network(run.network, seed=args.seed).parameter_count()
+    full_params = build_network(run.network, seed=run.train.seed).parameter_count()
     if full_params != report.total_params:
         raise NumericError(
             f"analytic parameter count {report.total_params} disagrees with "
@@ -331,9 +330,7 @@ def cmd_ablate(args) -> None:
         for variant, vrun in variants.items():
             vdir = args.out / variant
             vdir.mkdir()
-            model, _, _ = _train_one(
-                vrun, data, args.seed, vdir, [], max_epochs=args.max_epochs
-            )
+            model, _, _ = _train_one(vrun, data, vdir)
             ca, matrix = evaluate(model, xte, yte, workers=args.workers)
             _write_text(vdir / "confusion.csv", matrix.to_csv(LABELS))
             results.append((variant, ca))
@@ -394,6 +391,8 @@ def main(argv=None) -> int:
     np.seterr(over="raise", invalid="raise")
     _keep_freed_memory()
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -137,7 +137,7 @@ def analyze_network(
 ) -> ComplexityReport:
     """Fold over the units of :func:`~dacnet.network.layout`, the same layout
     the model executes, at the input size: a conv row and a batch-norm row per
-    unit, then the linear layers. A unit the input is too small for raises
+    unit, then the classifier. A unit the input is too small for raises
     ShapeError naming it, as ``Model.plan`` does.
 
     MAO is reported per input sample; the batch entry of ``input_shape`` is
@@ -158,15 +158,9 @@ def analyze_network(
         report.add(f"{name}.bn", "bn", bn_params(spec.out_channels), 0, out_shape)
 
     embed_width = config.mse_projection_channels * len(net.taps)
-    classifier_in = embed_width
-    if config.literal_fc_head:
-        report.add("fc_hidden", "linear",
-                   linear_params(embed_width, config.fc_neurons),
-                   linear_macs(embed_width, config.fc_neurons), (config.fc_neurons,))
-        classifier_in = config.fc_neurons
     report.add("classifier", "linear",
-               linear_params(classifier_in, config.num_classes),
-               linear_macs(classifier_in, config.num_classes), (config.num_classes,))
+               linear_params(embed_width, config.num_classes),
+               linear_macs(embed_width, config.num_classes), (config.num_classes,))
     return report
 
 

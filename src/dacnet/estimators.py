@@ -47,27 +47,34 @@ class BaseEstimator:
         return f"{type(self).__name__}({args})"
 
 
+def _config(value, cls, name: str):
+    """The ``name`` section as a ``cls``: given as one, read from a dict like a
+    run config's section, or the toy preset's when ``None``."""
+    if value is None:
+        return getattr(load_preset("toy"), name)
+    if isinstance(value, dict):
+        return config_from_dict(cls, value, name)
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name} must be a {cls.__name__}, a dict or None, "
+                          f"not {type(value).__name__}")
+    return value
+
+
 class LogMelFrontend(BaseEstimator):
     """Transformer mapping raw waveforms to 3-channel log-Mel feature blocks.
 
-    ``transform`` accepts a 2-D array of equal-length waveforms (or a
-    sequence of 1-D arrays) and returns an (n, 3, mel_bins, frames) array;
-    unequal lengths produce a list of per-item arrays instead.
+    ``frontend`` accepts a ``FrontendConfig``, a plain dict of its fields or
+    ``None`` (the defaults). ``transform`` accepts a 2-D array of
+    equal-length waveforms (or a sequence of 1-D arrays) and returns an
+    (n, 3, mel_bins, frames) array; unequal lengths produce a list of
+    per-item arrays instead.
     """
 
-    def __init__(self, sample_rate: int = 16000, frame_ms: float = 40.0,
-                 hop_ms: float = 20.0, mel_bins: int = 28, fft_size: int = 1024,
-                 delta_window: int = 2, channel_mode: str = "deltas"):
-        self.sample_rate = sample_rate
-        self.frame_ms = frame_ms
-        self.hop_ms = hop_ms
-        self.mel_bins = mel_bins
-        self.fft_size = fft_size
-        self.delta_window = delta_window
-        self.channel_mode = channel_mode
+    def __init__(self, frontend: Optional[FrontendConfig | dict] = None):
+        self.frontend = frontend
 
     def fit(self, X=None, y=None) -> "LogMelFrontend":
-        self.config_ = FrontendConfig(**self.get_params())
+        self.config_ = _config(self.frontend, FrontendConfig, "frontend")
         return self
 
     def transform(self, X):
@@ -105,18 +112,8 @@ class DacNetClassifier(BaseEstimator):
         self.workers = workers
 
     def _configs(self) -> tuple[NetworkConfig, TrainConfig]:
-        configs = []
-        for name, cls in (("network", NetworkConfig), ("train", TrainConfig)):
-            value = getattr(self, name)
-            if value is None:
-                value = getattr(load_preset("toy"), name)
-            elif isinstance(value, dict):
-                value = config_from_dict(cls, value, name)
-            elif not isinstance(value, cls):
-                raise ConfigError(f"{name} must be a {cls.__name__}, a dict or None, "
-                                  f"not {type(value).__name__}")
-            configs.append(value)
-        network, train_cfg = configs
+        network = _config(self.network, NetworkConfig, "network")
+        train_cfg = _config(self.train, TrainConfig, "train")
         epochs = {} if self.max_epochs is None else {"max_epochs": self.max_epochs}
         return network, replace(train_cfg, seed=self.seed, **epochs)
 

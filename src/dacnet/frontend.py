@@ -2,8 +2,7 @@
 
 Produces the 3-channel input consumed by the network: channel 0 is the
 log-Mel spectrogram, channel 1 its regression delta, channel 2 the delta of
-the delta. With ``channel_mode="replicate"`` the static feature is copied
-into all three channels instead.
+the delta.
 
 Feature files ("DACF") are flat binary records:
 
@@ -34,8 +33,6 @@ DACF_MAGIC = b"DACF"
 DACF_VERSION = 1
 DACF_HEADER_BYTES = 33
 
-CHANNEL_MODES = ("deltas", "replicate")
-
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -45,7 +42,6 @@ class FrontendConfig:
     mel_bins: int = 28
     fft_size: int = 1024
     delta_window: int = 2
-    channel_mode: str = "deltas"
     log_floor: float = 1e-10
 
     def __post_init__(self):
@@ -65,8 +61,6 @@ class FrontendConfig:
             )
         if self.mel_bins < 2:
             raise ConfigError(f"mel_bins must be >= 2, got {self.mel_bins}")
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ConfigError(f"channel_mode must be one of {CHANNEL_MODES}")
 
     @property
     def frame_samples(self) -> int:
@@ -202,11 +196,7 @@ def add_deltas(static: np.ndarray, window: int) -> np.ndarray:
 def compute_features(audio: np.ndarray, config: FrontendConfig) -> LogMelFeature:
     """Full frontend: audio samples to the 3-channel network input."""
     power = stft_power(audio, config)
-    static = mel_project_log(power, config)
-    if config.channel_mode == "deltas":
-        values = add_deltas(static, config.delta_window)
-    else:
-        values = np.stack([static, static, static])
+    values = add_deltas(mel_project_log(power, config), config.delta_window)
     return LogMelFeature(values=values, fingerprint=config.fingerprint())
 
 

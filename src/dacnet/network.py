@@ -46,7 +46,7 @@ from .tensor import DTYPE, Tensor
 from .validation import check_fields, config_from_dict, config_to_dict
 
 DACM_MAGIC = b"DACM"
-DACM_VERSION = 1
+DACM_VERSION = 2
 
 ABLATION_VARIANTS = ("full", "no_dco", "no_mse")
 
@@ -93,19 +93,14 @@ class NetworkConfig:
     stem_kernel: int = 3
     stem_stride: int = 2
     blocks: tuple[BlockSpec, ...] = field(kw_only=True)  # required
-    mse_taps: Optional[tuple[int, ...]] = None  # block-instance indices; default: last three
     mse_projection_channels: int = 1280
     num_classes: int = 9
     dilation_enabled: bool = True
     mse_enabled: bool = True
-    residual_enabled: bool = True
-    literal_fc_head: bool = False
-    fc_neurons: int = 1280  # only used when literal_fc_head is set
 
     def __post_init__(self):
         check_fields(self, positive=("input_channels", "stem_channels", "stem_kernel",
-                                     "stem_stride", "mse_projection_channels",
-                                     "num_classes", "fc_neurons"))
+                                     "stem_stride", "mse_projection_channels", "num_classes"))
 
     def instances(self) -> list[InstanceSpec]:
         out: list[InstanceSpec] = []
@@ -128,24 +123,18 @@ class NetworkConfig:
         return out
 
     def tap_indices(self) -> tuple[int, ...]:
+        """The block instances feeding the embedding heads: the last three, or
+        with ``mse_enabled`` off the last one."""
         instances = self.instances()
         if not self.mse_enabled:
             return (len(instances) - 1,)
-        taps = self.mse_taps
-        if taps is None:
-            if len(instances) < 3:
-                raise ConfigError("multi-scale embedding needs at least 3 block instances")
-            taps = tuple(range(len(instances) - 3, len(instances)))
-        if len(taps) != 3:
-            raise ConfigError(f"exactly 3 embedding taps required, got {len(taps)}")
-        widths = set()
-        for t in taps:
-            if not 0 <= t < len(instances):
-                raise ConfigError(f"tap index {t} out of range for {len(instances)} instances")
-            widths.add(instances[t].out_channels)
+        if len(instances) < 3:
+            raise ConfigError("multi-scale embedding needs at least 3 block instances")
+        taps = tuple(range(len(instances) - 3, len(instances)))
+        widths = sorted({instances[t].out_channels for t in taps})
         if len(widths) != 1:
-            raise ConfigError(f"tap channel counts differ: {sorted(widths)}")
-        return tuple(sorted(taps))
+            raise ConfigError(f"tap channel counts differ: {widths}")
+        return taps
 
     def validate(self) -> None:
         if not self.blocks:
@@ -277,7 +266,7 @@ def layout(config: NetworkConfig) -> Layout:
             Unit(f"block{i}.depthwise", ConvSpec(3, c, c, stride=inst.stride, padding=d,
                                                   dilation=d, mode="depthwise"), True),
             Unit(f"block{i}.project", ConvSpec(1, c, inst.out_channels, mode="pointwise"), False),
-            config.residual_enabled and inst.stride == 1 and inst.in_channels == inst.out_channels)
+            inst.stride == 1 and inst.in_channels == inst.out_channels)
 
     head = ConvSpec(1, instances[taps[0]].out_channels, config.mse_projection_channels,
                     mode="pointwise")
@@ -388,13 +377,8 @@ class Model:
         self.config = config
         self.layout = layout(config).map(lambda u: _ConvUnit(*u))
         self.stem, self.blocks, self.taps, self.heads = self.layout
-        classifier_in = embed_width = config.mse_projection_channels * len(self.taps)
-        self.fc_hidden = self.fc_hidden_bias = None
-        if config.literal_fc_head:
-            self.fc_hidden = Tensor(np.empty((embed_width, config.fc_neurons)), requires_grad=True)
-            self.fc_hidden_bias = Tensor(np.empty(config.fc_neurons), requires_grad=True)
-            classifier_in = config.fc_neurons
-        self.classifier = Tensor(np.empty((classifier_in, config.num_classes)), requires_grad=True)
+        embed_width = config.mse_projection_channels * len(self.taps)
+        self.classifier = Tensor(np.empty((embed_width, config.num_classes)), requires_grad=True)
         self.classifier_bias = Tensor(np.empty(config.num_classes), requires_grad=True)
         self.arena = self._pack()
         self._plan: Optional[tuple[tuple[int, int], Layout]] = None  # the last input size's
@@ -421,11 +405,8 @@ class Model:
             for array, value in ((unit.gamma.data, 1.0), (unit.beta.data, 0.0),
                                  (unit.running_mean, 0.0), (unit.running_var, 1.0)):
                 array.fill(value)
-        for weight, bias in ((self.fc_hidden, self.fc_hidden_bias),
-                             (self.classifier, self.classifier_bias)):
-            if weight is not None:
-                _he_normal(rng, weight.data, weight.shape[0])
-                bias.data.fill(0.0)
+        _he_normal(rng, self.classifier.data, self.classifier.shape[0])
+        self.classifier_bias.data.fill(0.0)
 
     # -- parameters ----------------------------------------------------------
 
@@ -433,15 +414,8 @@ class Model:
         return self.layout.units()
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = []
-        for unit in self.units():
-            out.extend(unit.parameters())
-        if self.fc_hidden is not None:
-            out.append(("fc_hidden.weight", self.fc_hidden))
-            out.append(("fc_hidden.bias", self.fc_hidden_bias))
-        out.append(("classifier.weight", self.classifier))
-        out.append(("classifier.bias", self.classifier_bias))
-        return out
+        return [*(p for unit in self.units() for p in unit.parameters()),
+                ("classifier.weight", self.classifier), ("classifier.bias", self.classifier_bias)]
 
     def parameter_count(self) -> int:
         return sum(t.size for _, t in self.parameters())
@@ -484,10 +458,7 @@ class Model:
             scales = plan.run(x.data, _UnitStep.infer, lambda a, b: np.add(a, b, out=a),
                               lambda a: a.mean(axis=(2, 3)))
             embedding = Tensor(np.concatenate(scales, axis=1) if len(scales) > 1 else scales[0])
-        hidden = embedding
-        if self.fc_hidden is not None:
-            hidden = ops.relu(ops.linear(embedding, self.fc_hidden, self.fc_hidden_bias))
-        logits = ops.linear(hidden, self.classifier, self.classifier_bias)
+        logits = ops.linear(embedding, self.classifier, self.classifier_bias)
         return logits, MultiScaleEmbedding(scales=scales, embedding=embedding.data)
 
     def predict_logits(self, x: np.ndarray) -> np.ndarray:

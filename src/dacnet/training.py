@@ -184,7 +184,6 @@ def evaluate(
     model: Model,
     features: np.ndarray,
     labels: np.ndarray,
-    num_classes: Optional[int] = None,
     batch_size: int = 32,
     workers: int = 1,
 ) -> tuple[float, ConfusionMatrix]:
@@ -194,8 +193,7 @@ def evaluate(
     argmax of the logits (:func:`predict_batches`) with ties broken toward
     the lowest class index, so results are identical for any worker count.
     """
-    if num_classes is None:
-        num_classes = model.config.num_classes
+    num_classes = model.config.num_classes
     labels = _labels_for(features, labels)
     outside = (labels < 0) | (labels >= num_classes)
     if outside.any():

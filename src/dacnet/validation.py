@@ -16,16 +16,14 @@ _schema = functools.cache(typing.get_type_hints)  # config class -> {field: anno
 
 
 def _matches(value, hint) -> bool:
-    """A bool is not a number, an int passes for a float, ``None`` only for ``Optional``."""
+    """A bool is not a number, an int passes for a float, and ``None`` matches no field."""
     if hint is float:
         return type(value) is int or isinstance(value, float) and math.isfinite(value)
     if hint is int:
         return type(value) is int
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is typing.Union:  # Optional[T]
-        return value is None or _matches(value, args[0])
-    if origin is tuple:  # tuple[T, ...]
-        return isinstance(value, tuple) and all(_matches(v, args[0]) for v in value)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        item = typing.get_args(hint)[0]
+        return isinstance(value, tuple) and all(_matches(v, item) for v in value)
     return isinstance(value, hint)
 
 
@@ -47,11 +45,8 @@ def _read(hint, value):
     """A JSON list as the tuple, or the dataclass row, that ``hint`` declares."""
     if not isinstance(value, list):
         return value
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:  # tuple[T, ...]
-        return tuple(_read(args[0], v) for v in value)
-    if origin is typing.Union:  # Optional[T]
-        return _read(args[0], value)
+    if typing.get_origin(hint) is tuple:  # tuple[T, ...]
+        return tuple(_read(typing.get_args(hint)[0], v) for v in value)
     return hint(*value) if dataclasses.is_dataclass(hint) else value  # else check_fields rejects
 
 

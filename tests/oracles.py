@@ -141,8 +141,6 @@ def compute_features_reference(audio, config, filterbank):
     """
     power = stft_power_reference(audio, config)
     static = np.log(np.maximum(filterbank @ power, config.log_floor))
-    if config.channel_mode == "replicate":
-        return np.stack([static, static, static])
     d1 = _delta_by_concatenation(static, config.delta_window)
     return np.stack([static, d1, _delta_by_concatenation(d1, config.delta_window)])
 

@@ -1,13 +1,16 @@
 """Command-line surface: pipeline runs, exit codes, help text, quarantine."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from dacnet import (BlockSpec, ConfigError, FrontendConfig, NetworkConfig, NumericError,
                     TrainConfig)
 from dacnet.cli import main
-from dacnet.presets import preset_dict, resolve_run_config
+from dacnet.presets import SECTIONS, preset_dict, resolve_run_config
 from dacnet.validation import config_from_dict, config_to_dict
 
 FAST = [
@@ -97,17 +100,32 @@ class TestPipeline:
         assert blobs[0] == blobs[1]
 
     def test_rerun_from_echoed_config_reproduces_run(self, corpus, tmp_path):
+        """The echoed config holds the --seed and --max-epochs the run used, so it
+        replays the run alone."""
         first = tmp_path / "orig"
         rc = main(["train", "--data", str(corpus), "--out", str(first),
                    "--max-epochs", "1", "--seed", "3", *FAST])
         assert rc == 0
+        echoed = json.loads((first / "config.json").read_text())["train"]
+        assert (echoed["seed"], echoed["max_epochs"]) == (3, 1)
         replay = tmp_path / "replay"
         rc = main(["train", "--data", str(corpus), "--out", str(replay),
-                   "--config", str(first / "config.json"),
-                   "--max-epochs", "1", "--seed", "3"])
+                   "--config", str(first / "config.json")])
         assert rc == 0
         assert (replay / "checkpoint_last.dacm").read_bytes() == \
             (first / "checkpoint_last.dacm").read_bytes()
+
+    def test_config_seed_seeds_the_run(self, corpus, tmp_path):
+        """train.seed seeds the run when --seed is unset; --seed replaces it."""
+        blobs = {}
+        for name, args in (("default", []), ("set", ["--set", "train.seed=5"]),
+                           ("both", ["--set", "train.seed=0", "--seed", "5"])):
+            out = tmp_path / name
+            assert main(["train", "--data", str(corpus), "--out", str(out),
+                         "--max-epochs", "1", *FAST, *args]) == 0
+            blobs[name] = (out / "checkpoint_last.dacm").read_bytes()
+        assert blobs["set"] != blobs["default"]
+        assert blobs["set"] == blobs["both"]
 
 
 class TestAnalyze:
@@ -176,20 +194,29 @@ class TestConfigSchema:
         (lambda: BlockSpec(8, 8.0), "BlockSpec.out_channels must be int, not 8.0"),
         (lambda: NetworkConfig(blocks=[BlockSpec(8, 8)]),
          r"NetworkConfig.blocks must be tuple\[BlockSpec, ...\], not \["),
-        (lambda: NetworkConfig(blocks=(), mse_taps=(0, 1.0)),
-         r"NetworkConfig.mse_taps must be Optional\[tuple\[int, ...\]\], not \(0, 1.0\)"),
-    ], ids=["bool-for-int", "bool-for-float", "none", "row", "list", "optional"])
+    ], ids=["bool-for-int", "bool-for-float", "none", "row", "list"])
     def test_python_configs_are_checked_like_json(self, build, message):
         with pytest.raises(ConfigError, match=message):
             build()
 
     def test_reader_reads_lists_as_declared_tuples_and_writer_inverts_it(self):
-        doc = {"blocks": [[8, 8, 1, 1, 2, 2]], "mse_taps": [0, 1, 2], "stem_channels": 8}
+        doc = {"blocks": [[8, 8, 1, 1, 2, 2], [8, 16, 2]], "stem_channels": 8}
         config = config_from_dict(NetworkConfig, doc, "network")
-        assert config.blocks == (BlockSpec(8, 8, 1, 1, 2, 2),)
-        assert config.mse_taps == (0, 1, 2) and config.num_classes == 9
+        assert config.blocks == (BlockSpec(8, 8, 1, 1, 2, 2), BlockSpec(8, 16, 2))
+        assert config.num_classes == 9
+        assert config_to_dict(config)["blocks"] == [[8, 8, 1, 1, 2, 2], [8, 16, 2, 1, 3, 2]]
         assert config_from_dict(NetworkConfig, config_to_dict(config), "network") == config
-        assert NetworkConfig(blocks=(), mse_taps=None).mse_taps is None
+
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
+    def test_docs_table_lists_each_field_with_its_default(self, section):
+        """docs/config-schema.md's table of a section names its dataclass's fields in
+        order, each with its default as JSON."""
+        text = (Path(__file__).parents[1] / "docs" / "config-schema.md").read_text()
+        table = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", table, re.MULTILINE)
+        want = [(f.name, "(required)" if f.default is dataclasses.MISSING
+                 else json.dumps(f.default)) for f in dataclasses.fields(SECTIONS[section])]
+        assert [(name, default.strip().strip("`")) for name, default in rows] == want
 
 
 class TestExitCodes:
@@ -197,6 +224,14 @@ class TestExitCodes:
         rc = main(["analyze", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synth-data", "analyze"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_2(self, tmp_path, capsys, command, workers):
+        out = ["--out", str(tmp_path / "corpus")] if command == "synth-data" else []
+        rc = main([command, *out, "--workers", workers])
+        self.assert_config_error(rc, capsys, f"--workers must be >= 1, got {workers}")
+        assert not list(tmp_path.iterdir())
 
     def test_bad_override_path_is_2(self, capsys):
         rc = main(["analyze", "--set", "network.does_not_exist=1"])

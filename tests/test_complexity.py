@@ -89,9 +89,6 @@ def random_network_config(rng) -> NetworkConfig:
         blocks=tuple(rows),
         mse_projection_channels=int(rng.choice([8, 16, 24])),
         num_classes=9,
-        residual_enabled=bool(rng.integers(0, 2)),
-        literal_fc_head=bool(rng.integers(0, 2)),
-        fc_neurons=16,
     )
 
 

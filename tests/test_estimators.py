@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dacnet import ConfigError, DacNetClassifier, DataError, LogMelFrontend, ShapeError
+from dacnet import (ConfigError, DacNetClassifier, DataError, FrontendConfig, LogMelFrontend,
+                    ShapeError)
 from dacnet.network import BlockSpec, NetworkConfig
 from dacnet.training import TrainConfig
 
@@ -21,14 +22,14 @@ def tiny_network():
 
 class TestParamProtocol:
     def test_get_params_round_trip(self):
-        frontend = LogMelFrontend(mel_bins=32, channel_mode="replicate")
+        frontend = LogMelFrontend(frontend={"mel_bins": 32, "log_floor": 1e-8})
         clone = LogMelFrontend(**frontend.get_params())
         assert clone.get_params() == frontend.get_params()
 
     def test_set_params_chains_and_validates(self):
         frontend = LogMelFrontend()
-        assert frontend.set_params(mel_bins=30) is frontend
-        assert frontend.mel_bins == 30
+        assert frontend.set_params(frontend={"mel_bins": 30}) is frontend
+        assert frontend.fit().config_.mel_bins == 30
         with pytest.raises(ConfigError, match="invalid parameter"):
             frontend.set_params(window="hann")
 
@@ -60,8 +61,17 @@ class TestLogMelFrontend:
 
     def test_any_sample_rate(self):
         """The feature cache takes the corpus rate only; the transformer takes any rate."""
-        out = LogMelFrontend(sample_rate=8000, fft_size=512).transform(np.zeros((1, 8000)))
+        frontend = LogMelFrontend(frontend=FrontendConfig(sample_rate=8000, fft_size=512))
+        out = frontend.transform(np.zeros((1, 8000)))
         assert out.shape == (1, 3, 28, 49)
+
+    def test_frontend_config_reaches_the_features(self):
+        """Silence is clamped to ``log_floor``; a config of another type is an error."""
+        out = LogMelFrontend(frontend={"log_floor": 1e-4}).transform(np.zeros((1, 16000)))
+        assert np.all(out[:, 0] == np.log(1e-4))
+        with pytest.raises(ConfigError, match="frontend must be a FrontendConfig, a dict or "
+                                              "None, not str"):
+            LogMelFrontend(frontend="toy").fit()
 
     def test_rejects_bad_waveforms(self):
         with pytest.raises(ShapeError):

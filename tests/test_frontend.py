@@ -124,24 +124,16 @@ class TestFullPipeline:
         b = fe.compute_features(audio.copy(), CFG).values
         assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("mode", fe.CHANNEL_MODES)
-    def test_bit_identical_to_reference_pipeline(self, mode):
+    def test_bit_identical_to_reference_pipeline(self):
         from dacnet.data import SEGMENT_SAMPLES, _synthesize_segment
         rng = np.random.default_rng(8)
         for window in (1, 2, 3):
-            cfg = fe.FrontendConfig(channel_mode=mode, delta_window=window)
+            cfg = fe.FrontendConfig(delta_window=window)
             for audio in (_synthesize_segment(window, rng), rng.standard_normal(SEGMENT_SAMPLES),
                           np.zeros(16000)):
                 got = fe.compute_features(audio, cfg).values
                 want = compute_features_reference(audio, cfg, fe.mel_filterbank(cfg))
                 assert got.tobytes() == want.tobytes()
-
-    def test_replicate_channel_mode(self):
-        cfg = fe.FrontendConfig(channel_mode="replicate")
-        feat = fe.compute_features(np.ones(16000), cfg)
-        assert np.array_equal(feat.values[0], feat.values[1])
-        assert np.array_equal(feat.values[0], feat.values[2])
-        assert feat.fingerprint != CFG.fingerprint()
 
 
 class TestDacfFormat:

@@ -88,10 +88,10 @@ class TestConstruction:
         assert NetworkConfig.from_json(config.to_json()) == config
 
     @pytest.mark.parametrize("preset, network_sha, run_sha", [
-        ("toy", "4530dee56b9dd24cc52606878345f4f8b87d5f3373dbb2a9afc3303854a30f1e",
-         "5162ed1980a460c469e23ad62a1fce43db49e607571d43ef852a3e768727a984"),
-        ("reference", "8bcd508051b7ac4ed5bf8109f1e9f3317c41991d21b5479697cd0f5ddcd8b8bd",
-         "028b6bba27c6c5e7d3a34eb541714c75cbe298bc8ebcad1b7f10b54740437c39"),
+        ("toy", "a709fc3658a9a66ba94aef4d1a779ab6d26e89204372330e866ba447d8dac894",
+         "d43771c80a29cae433d86b238b631aa04bf12f3fa3f3d7634a87d60428954d5c"),
+        ("reference", "bb3a7e19c197db99fd0be9599e57161d3d9c48f7e6b487abdbea16d03b19b5ca",
+         "710fb8c302562a548db97532414d551f2a386e3d6e28a6890ed173470b3960e6"),
     ], ids=["toy", "reference"])
     def test_config_json_bytes_match_preset(self, preset, network_sha, run_sha):
         """A preset's checkpoint config blob and run-config echo keep their bytes:
@@ -309,8 +309,6 @@ def eval_walk(model, x, folded):
         tapped.append(out)
     embedding = np.concatenate([unit(head, tapped[t]).mean(axis=(2, 3))
                                 for t, head in zip(model.taps, model.heads)], axis=1)
-    if model.fc_hidden is not None:
-        embedding = np.maximum(embedding @ model.fc_hidden.data + model.fc_hidden_bias.data, 0.0)
     return embedding @ model.classifier.data + model.classifier_bias.data
 
 
@@ -624,7 +622,7 @@ class TestSerialization:
         from dacnet import DataError
         blob = b"[" * 100000
         path = tmp_path / "model.dacm"
-        path.write_bytes(b"DACM" + struct.pack("<BI", 1, len(blob)) + blob)
+        path.write_bytes(b"DACM" + struct.pack("<BI", 2, len(blob)) + blob)
         with pytest.raises(DataError, match="corrupt network config: maximum recursion depth"):
             Model.load(path)
 
@@ -650,14 +648,11 @@ def running_statistics(model):
         yield from (unit.running_mean, unit.running_var)
 
 
-@pytest.fixture(params=["toy", "literal_fc_head"])
+@pytest.fixture(params=["toy"])
 def arena_model(request):
-    """A model of the toy preset or a dense-head config, trained for two steps."""
+    """A model of the preset ``request.param``, trained for two steps."""
     from dacnet.training import TrainConfig, train
-    config = load_preset("toy").network
-    if request.param == "literal_fc_head":
-        config = mini_config(literal_fc_head=True, fc_neurons=12)
-    model = build_network(config, 3)
+    model = build_network(load_preset(request.param).network, 3)
     assert_in_arena(model)
     x = np.random.default_rng(4).standard_normal((4, 3, 28, 64))
     train(model, x, np.array([0, 1, 2, 3]), TrainConfig(batch_size=2, max_epochs=1))
@@ -688,7 +683,7 @@ class TestArena:
         blob = arena_model.config.to_json().encode()
         arrays = [t.data for _, t in arena_model.parameters()]
         arrays += running_statistics(arena_model)
-        want = b"DACM" + struct.pack("<BI", 1, len(blob)) + blob
+        want = b"DACM" + struct.pack("<BI", 2, len(blob)) + blob
         want += b"".join(a.astype("<f8").tobytes() for a in arrays)
         assert path.read_bytes() == want
 
